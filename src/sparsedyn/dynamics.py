@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from . import rng
 from .graphs import Graph, MarkedGraph, RootedGraph
@@ -75,7 +76,11 @@ class TrajectorySet:
 
 @dataclass(frozen=True)
 class GraphAux:
-    """Precomputed traversal arrays shared by the vectorized update rules."""
+    """Traversal arrays shared by the vectorized update rules.
+
+    A view of a :class:`Graph`: its own read-only CSR arrays plus the
+    degrees, edge sources and sparse matrix the graph derives once and caches.
+    """
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -85,12 +90,7 @@ class GraphAux:
 
     @staticmethod
     def of(g: Graph) -> "GraphAux":
-        indptr, indices = g.csr
-        deg = g.degrees
-        n = g.vertex_count
-        src = np.repeat(np.arange(n, dtype=np.int64), deg)
-        mat = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-        return GraphAux(indptr, indices, deg, src, mat)
+        return GraphAux(g.indptr, g.indices, g.degrees, g.edge_src, g.matrix)
 
     def neighbor_sums(self, values: np.ndarray) -> np.ndarray:
         """Row sums of neighbor values; ``values`` is (n,) or (..., n)."""
@@ -148,6 +148,26 @@ def _resolve_graph(g) -> tuple[Graph, np.ndarray | None]:
     return g, None
 
 
+def _step_count(horizon: float, dt: float) -> int:
+    """Number of Euler steps; ``horizon`` must be a whole multiple of ``dt``
+    (to a relative tolerance of 1e-9), so a run never ends short of it."""
+    if dt <= 0 or horizon < dt:
+        raise ValueError("need dt > 0 and horizon >= dt")
+    ratio = horizon / dt
+    steps = round(ratio)
+    if abs(ratio - steps) > 1e-9 * ratio:
+        raise ValueError(f"horizon {horizon!r} is not a whole number of steps of dt {dt!r}")
+    return steps
+
+
+def _check_marks(marks: np.ndarray, model: DiscreteModel) -> None:
+    """Integer marks must be symbols of the model's alphabet."""
+    if marks.dtype.kind in "iub" and marks.size and (
+        marks.min() < 0 or marks.max() >= model.alphabet_size
+    ):
+        raise ValueError(f"integer marks must lie in [0, {model.alphabet_size}) for {model.name}")
+
+
 def _per_vertex(value, n: int) -> np.ndarray:
     arr = np.asarray(value)
     if arr.ndim == 0:
@@ -176,6 +196,7 @@ def simulate_discrete(
     n = graph.vertex_count
     if state0.shape[0] != n:
         raise ValueError("marks length must equal vertex count")
+    _check_marks(state0, model)
     dtype = np.int64 if state0.dtype.kind in "iub" else np.float64
     key = rng.stream_key(seed, _DISC_TAG)
     stream_arr = _per_vertex(streams, n)
@@ -218,8 +239,7 @@ def simulate_diffusion(
     Neighbor interaction is evaluated at the current grid time.  Aborts with
     :class:`NumericalAbort` if any state turns non-finite.
     """
-    if dt <= 0 or horizon < dt:
-        raise ValueError("need dt > 0 and horizon >= dt")
+    steps = _step_count(horizon, dt)
     graph, inferred = _resolve_graph(g)
     if marks is None:
         marks = inferred
@@ -232,7 +252,6 @@ def simulate_diffusion(
         x0 = x0[:, None]
     if x0.shape != (n, d):
         raise ValueError("marks must have shape (n,) or (n, dim)")
-    steps = int(round(horizon / dt))
     key = rng.stream_key(seed, _DIFF_TAG)
     stream_arr = _per_vertex(streams, n)
     noise_arr = np.arange(n, dtype=np.int64) if noise_index is None else _per_vertex(noise_index, n)
@@ -416,26 +435,19 @@ def builtin_model(name: str, **params):
 # ---------------------------------------------------------------------------
 
 def distances_to(g: Graph, region) -> np.ndarray:
-    """Graph distance from every vertex to a vertex set (multi-source BFS)."""
-    region = [int(v) for v in region]
-    if not region:
+    """Graph distance from every vertex to a vertex set (multi-source BFS).
+
+    Vertices the region cannot reach get ``iinfo(int64).max``.
+    """
+    region = np.array([int(v) for v in region], dtype=np.int64)
+    if not region.size:
         raise ValueError("region must be nonempty")
-    indptr, indices = g.csr
+    if region.min() < 0 or region.max() >= g.vertex_count:
+        raise ValueError("region vertex out of range")
+    found = csgraph.dijkstra(g.matrix, directed=False, indices=region, unweighted=True, min_only=True)
     dist = np.full(g.vertex_count, np.iinfo(np.int64).max, dtype=np.int64)
-    frontier = []
-    for v in region:
-        dist[v] = 0
-        frontier.append(v)
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in indices[indptr[u] : indptr[u + 1]]:
-                if dist[w] > depth:
-                    dist[w] = depth
-                    nxt.append(int(w))
-        frontier = nxt
+    reached = np.isfinite(found)
+    dist[reached] = found[reached]
     return dist
 
 
@@ -518,7 +530,9 @@ def replica_paths_discrete(
     key = rng.stream_key(seed, _DISC_TAG)
     record = np.asarray(record, dtype=np.int64)
     out = np.empty((replicas, k_max + 1, len(record)), dtype=np.int64)
-    states = np.tile(np.asarray(marks, dtype=np.int64), (replicas, 1))
+    marks = np.asarray(marks, dtype=np.int64)
+    _check_marks(marks, model)
+    states = np.tile(marks, (replicas, 1))
     out[:, 0, :] = states[:, record]
     rep_streams = 2 * (replica_offset + np.arange(replicas, dtype=np.int64))[:, None]
     verts = np.arange(n, dtype=np.int64)[None, :]
@@ -551,9 +565,9 @@ def replica_paths_diffusion(
     """
     if model.replica_drift is None or model.sigma_scale is None or model.dim != 1:
         raise ValueError("replica batching needs a dim-1 model with replica_drift")
+    steps = _step_count(horizon, dt)
     aux = GraphAux.of(graph)
     n = graph.vertex_count
-    steps = int(round(horizon / dt))
     key = rng.stream_key(seed, _DIFF_TAG)
     record = np.asarray(record, dtype=np.int64)
     x0 = np.asarray(marks, dtype=np.float64).reshape(n)
@@ -605,7 +619,7 @@ def covariance_decay_profile(
     else:
         if dt is None:
             raise ValueError("dt is required for diffusion models")
-        steps = int(round(float(horizon) / dt))
+        steps = _step_count(float(horizon), dt)
     # chunk replicas so recorded paths stay within ~10^7 scalars
     chunk = max(1, min(replicas, 10_000_000 // max(1, (steps + 1) * len(needed))))
     fa_parts = {i: [] for i in range(len(pairs))}

@@ -21,10 +21,11 @@ from .dynamics import (
     DiffusionModel,
     DiscreteModel,
     TrajectorySet,
+    distances_to,
     simulate_diffusion,
     simulate_discrete,
 )
-from .graphs import Graph, RootedGraph, _from_edge_arrays, component_labels
+from .graphs import Graph, RootedGraph, _from_csr, component_labels
 from .trees import DegreeDist, Forest, delta_dist, sample_forest, size_biased
 
 __all__ = [
@@ -100,9 +101,10 @@ def tv_discrete(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
         raise ValueError("tv_discrete needs finite-alphabet trajectories")
     if len(a.times) != len(b.times) or not np.array_equal(a.times, b.times):
         raise ValueError("time grids differ")
-    ca, cb = _discrete_counter(a), _discrete_counter(b)
     na, nb = a.count, b.count
-    return 0.5 * sum(abs(ca.get(k, 0) / na - cb.get(k, 0) / nb) for k in set(ca) | set(cb))
+    fa = {k: c / na for k, c in _discrete_counter(a).items()}
+    fb = {k: c / nb for k, c in _discrete_counter(b).items()}
+    return frequency_tv(fa, fb)
 
 
 def trajectory_frequencies(m: EmpiricalMeasure, weights=None) -> dict[bytes, float]:
@@ -125,8 +127,13 @@ def trajectory_frequencies(m: EmpiricalMeasure, weights=None) -> dict[bytes, flo
     return out
 
 
-def frequency_tv(fa: dict[bytes, float], fb: dict[bytes, float]) -> float:
-    return 0.5 * sum(abs(fa.get(c, 0.0) - fb.get(c, 0.0)) for c in set(fa) | set(fb))
+def frequency_tv(fa: dict, fb: dict) -> float:
+    """Total variation between two frequency dicts over the union of their keys.
+
+    ``math.fsum`` rounds the sum exactly once, so the value does not depend on
+    the (hash-seeded) key order and is exactly symmetric.
+    """
+    return 0.5 * math.fsum(abs(fa.get(c, 0.0) - fb.get(c, 0.0)) for c in fa.keys() | fb.keys())
 
 
 def mix_frequencies(parts) -> dict[bytes, float]:
@@ -192,17 +199,15 @@ def gw_forest_sampler(offspring: DegreeDist, depth: int, **kwargs) -> Callable[[
 
 def fixed_graph_sampler(rg: RootedGraph) -> Callable[[int, int], Forest]:
     """Forest sampler that replicates one fixed rooted graph."""
-    edges = rg.graph.edges()
-    n = rg.vertex_count
-
-    from .dynamics import distances_to
-
-    template_depths = distances_to(rg.graph, [rg.root])
+    g = rg.graph
+    n, nnz = g.vertex_count, len(g.indices)
+    template_depths = distances_to(g, [rg.root])
 
     def sample(count: int, seed: int) -> Forest:
-        blocks = [edges + i * n for i in range(count)] if len(edges) else []
-        arr = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, 2), dtype=np.int64)
-        graph = _from_edge_arrays(n * count, arr)
+        # copy i is the template's CSR shifted by i * n vertices and i * nnz entries
+        copy = np.arange(count, dtype=np.int64)[:, None]
+        indptr = np.append((g.indptr[:-1] + nnz * copy).ravel(), nnz * count)
+        graph = _from_csr(indptr, (g.indices + n * copy).ravel())
         roots = rg.root + n * np.arange(count, dtype=np.int64)
         depths = np.tile(template_depths, count)
         tree_ids = np.repeat(np.arange(count, dtype=np.int64), n)

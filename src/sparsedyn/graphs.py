@@ -1,17 +1,24 @@
 """Finite simple graphs: random generators, components, roots, and balls.
 
-All graphs are undirected, simple, and stored as sorted adjacency lists.
-Instances are immutable after construction and safe to share across threads.
-Generators are deterministic functions of their arguments and the seed.
+All graphs are undirected and simple.  A :class:`Graph` is stored in
+compressed sparse row (CSR) form: two read-only int64 arrays, ``indptr`` and
+``indices``, with every row sorted.  Generators and samplers build these
+arrays with numpy; the tuple-of-tuples ``adjacency`` is a view derived on
+first use.  Instances are immutable after construction and safe to share
+across threads.  Generators are deterministic functions of their arguments
+and the seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import log, floor
+from itertools import chain
+from math import floor, log, log1p
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from . import rng
 
@@ -27,47 +34,100 @@ def _check_cap(n: int, cap: int) -> None:
         raise SizeCapError(f"graph would have {n} vertices, above the cap of {cap}")
 
 
-@dataclass(frozen=True)
+def _frozen(a) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
 class Graph:
-    """Finite simple graph as a tuple of sorted neighbor tuples.
+    """Finite simple graph in CSR form.
+
+    The neighbors of ``v`` are ``indices[indptr[v]:indptr[v + 1]]`` in
+    increasing order.  ``Graph(adjacency)`` builds the arrays from a sequence
+    of sorted neighbor sequences; the generators build them directly.
+    ``adjacency``, ``degrees`` and the other derived views are computed from
+    the arrays on first use and cached.  Equality and hashing compare the
+    arrays.
 
     ``erased_fallback`` marks configuration-model outputs that needed the
-    erasure fallback (self-loops dropped, multi-edges collapsed).
+    erasure fallback (self-loops dropped, multi-edges collapsed); it takes no
+    part in equality.
     """
 
-    adjacency: tuple[tuple[int, ...], ...]
-    erased_fallback: bool = field(default=False, compare=False)
+    indptr: np.ndarray
+    indices: np.ndarray
+    erased_fallback: bool
+
+    def __init__(self, adjacency, erased_fallback: bool = False):
+        indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
+        np.cumsum([len(a) for a in adjacency], out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=int(indptr[-1]))
+        self._set(indptr, indices, erased_fallback)
+
+    def _set(self, indptr, indices, erased_fallback) -> None:
+        object.__setattr__(self, "indptr", _frozen(indptr))
+        object.__setattr__(self, "indices", _frozen(indices))
+        object.__setattr__(self, "erased_fallback", bool(erased_fallback))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices, other.indices)
+
+    def __hash__(self) -> int:
+        return hash((self.indptr.tobytes(), self.indices.tobytes()))
+
+    def __repr__(self) -> str:
+        flag = ", erased_fallback=True" if self.erased_fallback else ""
+        return f"Graph(vertex_count={self.vertex_count}, edge_count={self.edge_count}{flag})"
 
     @property
     def vertex_count(self) -> int:
-        return len(self.adjacency)
+        return len(self.indptr) - 1
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return len(self.indices) // 2
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+    def neighbors(self, v: int) -> np.ndarray:
+        """Sorted neighbors of ``v``, a read-only view of ``indices``."""
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        return _frozen(np.diff(self.indptr))
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) arrays for vectorized traversal."""
-        indptr = np.zeros(self.vertex_count + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=indptr[1:])
-        if self.vertex_count and indptr[-1]:
-            indices = np.concatenate([np.asarray(a, dtype=np.int64) for a in self.adjacency if a])
-        else:
-            indices = np.zeros(0, dtype=np.int64)
-        return indptr, indices
+    def edge_src(self) -> np.ndarray:
+        """Row of every entry of ``indices``: ``repeat(arange(n), degrees)``."""
+        return _frozen(np.repeat(np.arange(self.vertex_count, dtype=np.int64), self.degrees))
+
+    @cached_property
+    def csr_lists(self) -> tuple[list[int], list[int]]:
+        """``(indptr, indices)`` as Python lists, for per-vertex loops."""
+        return self.indptr.tolist(), self.indices.tolist()
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor tuples, one per vertex (a derived view)."""
+        ptr, idx = self.csr_lists
+        return tuple(tuple(idx[ptr[v] : ptr[v + 1]]) for v in range(self.vertex_count))
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """Adjacency matrix with unit weights, rows in the order of ``indices``."""
+        n = self.vertex_count
+        return sparse.csr_matrix((np.ones(len(self.indices)), self.indices, self.indptr), shape=(n, n))
 
     def edges(self) -> np.ndarray:
         """(m, 2) array of edges with u < v, lexicographically sorted."""
-        out = [(u, v) for u in range(self.vertex_count) for v in self.adjacency[u] if u < v]
-        return np.array(out, dtype=np.int64).reshape(-1, 2)
+        src = self.edge_src
+        keep = src < self.indices
+        return np.stack([src[keep], self.indices[keep]], axis=1)
 
     @staticmethod
     def from_edges(n: int, edges, *, erased_fallback: bool = False) -> "Graph":
@@ -88,33 +148,42 @@ class Graph:
 
     def validate(self) -> None:
         """Recheck all structural invariants (used by tests)."""
+        indptr, indices = self.indptr, self.indices
+        if indptr.dtype != np.int64 or indices.dtype != np.int64:
+            raise AssertionError("CSR arrays must be int64")
+        if indptr.ndim != 1 or indptr.size < 1 or indptr[0] != 0 or indptr[-1] != indices.size:
+            raise AssertionError("indptr does not span indices")
+        deg = np.diff(indptr)
+        if np.any(deg < 0):
+            raise AssertionError("indptr not monotone")
         n = self.vertex_count
-        for u, adj in enumerate(self.adjacency):
-            if any(v < 0 or v >= n for v in adj):
-                raise AssertionError("neighbor index out of range")
-            if any(v == u for v in adj):
-                raise AssertionError("self-loop")
-            if list(adj) != sorted(set(adj)):
-                raise AssertionError("adjacency not sorted/unique")
-            for v in adj:
-                if u not in self.adjacency[v]:
-                    raise AssertionError("adjacency not symmetric")
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise AssertionError("neighbor index out of range")
+        src = np.repeat(np.arange(n, dtype=np.int64), deg)
+        if np.any(indices == src):
+            raise AssertionError("self-loop")
+        if np.any((src[1:] == src[:-1]) & (indices[1:] <= indices[:-1])):
+            raise AssertionError("adjacency not sorted/unique")
+        # rows sorted and unique make src * n + indices strictly increasing
+        if not np.array_equal(src * n + indices, np.sort(indices * n + src)):
+            raise AssertionError("adjacency not symmetric")
 
 
-def _from_edge_arrays(n: int, arr: np.ndarray, *, erased_fallback: bool = False) -> Graph:
-    """Trusted constructor: arr is a validated (m, 2) int array of simple edges."""
-    if arr.size == 0:
-        return Graph(tuple(() for _ in range(n)), erased_fallback)
-    both_src = np.concatenate([arr[:, 0], arr[:, 1]])
-    both_dst = np.concatenate([arr[:, 1], arr[:, 0]])
-    order = np.lexsort((both_dst, both_src))
-    src = both_src[order]
-    dst = both_dst[order]
-    counts = np.bincount(src, minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    adjacency = tuple(tuple(int(x) for x in dst[offsets[i]:offsets[i + 1]]) for i in range(n))
-    return Graph(adjacency, erased_fallback)
+def _from_csr(indptr, indices, erased_fallback: bool = False) -> Graph:
+    """Trusted constructor from valid CSR arrays (rows sorted, symmetric)."""
+    g = Graph.__new__(Graph)
+    g._set(indptr, indices, erased_fallback)
+    return g
+
+
+def _from_edge_arrays(n: int, arr, *, erased_fallback: bool = False) -> Graph:
+    """Trusted constructor: arr holds (m, 2) simple edges, each listed once."""
+    arr = np.asarray(arr, dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate([arr[:, 0], arr[:, 1]])
+    keys = np.sort(src * n + np.concatenate([arr[:, 1], arr[:, 0]]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return _from_csr(indptr, keys % n, erased_fallback)
 
 
 @dataclass(frozen=True)
@@ -136,7 +205,7 @@ class RootedGraph:
         n = self.graph.vertex_count
         if not (0 <= self.root < n):
             raise ValueError("root out of range")
-        if _reach_count(self.graph, self.root) != n:
+        if len(_bfs(self.graph, self.root)[0]) != n:
             raise ValueError("rooted graph must be connected")
 
     @property
@@ -164,56 +233,41 @@ class MarkedGraph:
         return self.rooted.graph
 
 
-def _reach_count(g: Graph, start: int) -> int:
-    indptr, indices = g.csr
-    seen = np.zeros(g.vertex_count, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    total = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(int(v))
-        total += len(nxt)
-        frontier = nxt
-    return total
+def _bfs(g: Graph, start: int, max_depth: int | None = None) -> tuple[list[int], dict[int, int]]:
+    """Vertices within ``max_depth`` hops of ``start`` in BFS order, and their distances.
 
-
-def _bfs(g: Graph, start: int, max_depth: int | None = None) -> tuple[list[int], np.ndarray]:
-    """BFS order and distances from start (unreached = -1)."""
-    indptr, indices = g.csr
-    dist = np.full(g.vertex_count, -1, dtype=np.int64)
-    dist[start] = 0
+    Neighbors are visited in increasing index order.  The cost is that of the
+    reached part only, so tiny balls of large graphs stay cheap.
+    """
+    ptr, idx = g.csr_lists
+    start = int(start)
+    dist = {start: 0}
     order = [start]
-    frontier = [start]
-    depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
+    lo, depth = 0, 0
+    while lo < len(order) and (max_depth is None or depth < max_depth):
         depth += 1
-        nxt = []
-        for u in frontier:
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                if dist[v] < 0:
-                    dist[v] = depth
-                    nxt.append(int(v))
-        order.extend(nxt)
-        frontier = nxt
+        hi = len(order)
+        for u in order[lo:hi]:
+            for w in idx[ptr[u] : ptr[u + 1]]:
+                if w not in dist:
+                    dist[w] = depth
+                    order.append(w)
+        lo = hi
     return order, dist
 
 
 def _induced_rooted(g: Graph, vertices: list[int], root: int) -> RootedGraph:
     """Induced subgraph on ``vertices`` (BFS order), reindexed, rooted at ``root``'s image."""
-    local = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for v in vertices:
-        for u in g.adjacency[v]:
-            iu = local.get(u)
-            if iu is not None and local[v] < iu:
-                edges.append((local[v], iu))
-    sub = _from_edge_arrays(len(vertices), np.array(edges, dtype=np.int64).reshape(-1, 2))
-    return RootedGraph(sub, local[root], origin=tuple(vertices))
+    verts = np.asarray(vertices, dtype=np.int64)
+    local = np.full(g.vertex_count, -1, dtype=np.int64)
+    local[verts] = np.arange(len(verts))
+    deg = g.degrees[verts]
+    first = np.repeat(g.indptr[verts] - (np.cumsum(deg) - deg), deg)
+    a = np.repeat(np.arange(len(verts), dtype=np.int64), deg)
+    b = local[g.indices[first + np.arange(len(a))]]
+    keep = a < b  # also drops neighbors outside the set (b = -1)
+    sub = _from_edge_arrays(len(verts), np.stack([a[keep], b[keep]], axis=1))
+    return RootedGraph(sub, int(local[root]), origin=tuple(vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +282,26 @@ def gen_erdos_renyi(n: int, p: float, seed: int, *, size_cap: int = DEFAULT_SIZE
         raise ValueError("p must lie in [0, 1]")
     _check_cap(n, size_cap)
     if p == 0.0 or n == 1:
-        return Graph(tuple(() for _ in range(n)))
+        return _from_edge_arrays(n, ())
     if p == 1.0:
-        return _from_edge_arrays(n, np.array([(u, v) for u in range(n) for v in range(u + 1, n)]))
+        return _from_edge_arrays(n, np.stack(np.triu_indices(n, 1), axis=1))
     gen = rng.generator(seed, 0x4552)
     # skip-sampling over the lexicographic pair order: geometric gaps between edges
     edges = []
-    lq = log(1.0 - p)
+    # below p ~ 1e-16, 1 - p rounds to 1 and log would give 0
+    lq = log(1.0 - p) if 1.0 - p < 1.0 else log1p(-p)
     v, w = 1, -1
     while v < n:
-        w += 1 + int(floor(log(1.0 - gen.random()) / lq))
+        gap = log(1.0 - gen.random()) / lq
+        if gap >= n * n:
+            break  # past the last pair (gap may be inf for subnormal p)
+        w += 1 + int(floor(gap))
         while w >= v and v < n:
             w -= v
             v += 1
         if v < n:
             edges.append((w, v))
-    return _from_edge_arrays(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    return _from_edge_arrays(n, edges)
 
 
 def _pair_decode(idx: np.ndarray, n: int) -> np.ndarray:
@@ -272,7 +330,7 @@ def gen_gnm(n: int, m: int, seed: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> G
     _check_cap(n, size_cap)
     gen = rng.generator(seed, 0x474D)
     if m == 0:
-        return Graph(tuple(() for _ in range(n)))
+        return _from_edge_arrays(n, ())
     if m > total // 2:
         idx = gen.permutation(total)[:m]
     else:
@@ -309,7 +367,7 @@ def gen_configuration_model(
     _check_cap(n, size_cap)
     stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
     if stubs.size == 0:
-        return Graph(tuple(() for _ in range(n)))
+        return _from_edge_arrays(n, ())
     gen = rng.generator(seed, 0x434D)
     pairing = None
     for _ in range(max_pairing_attempts):
@@ -393,19 +451,15 @@ def gen_regular_tree(k: int, height: int, *, size_cap: int = DEFAULT_SIZE_CAP) -
     else:
         total = 1 + k * ((k - 1) ** height - 1) // (k - 2)
     _check_cap(total, size_cap)
-    edges = []
-    next_free = 1
-    frontier = [0]
+    # vertices are numbered level by level; each level's children follow
+    # their parents' order
+    parents = []
+    level = np.zeros(1, dtype=np.int64)
     for depth in range(height):
-        children_per = k if depth == 0 else k - 1
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(children_per):
-                edges.append((parent, next_free))
-                new_frontier.append(next_free)
-                next_free += 1
-        frontier = new_frontier
-    g = _from_edge_arrays(total, np.array(edges, dtype=np.int64))
+        parents.append(np.repeat(level, k if depth == 0 else k - 1))
+        level = np.arange(level[-1] + 1, level[-1] + 1 + parents[-1].size, dtype=np.int64)
+    parent = np.concatenate(parents)
+    g = _from_edge_arrays(total, np.stack([parent, np.arange(1, total, dtype=np.int64)], axis=1))
     return RootedGraph(g, 0)
 
 
@@ -471,12 +525,11 @@ def uniform_root_component(g: Graph, seed: int) -> RootedGraph:
 
 def component_labels(g: Graph) -> np.ndarray:
     """Label array assigning each vertex the smallest vertex of its component."""
-    labels = np.full(g.vertex_count, -1, dtype=np.int64)
-    for v in range(g.vertex_count):
-        if labels[v] < 0:
-            order, _ = _bfs(g, v)
-            labels[np.array(order, dtype=np.int64)] = v
-    return labels
+    if g.vertex_count == 0:
+        return np.zeros(0, dtype=np.int64)
+    _, labels = csgraph.connected_components(g.matrix, directed=False)
+    _, smallest = np.unique(labels, return_index=True)
+    return smallest[labels].astype(np.int64)
 
 
 def largest_component(g: Graph) -> RootedGraph:

@@ -13,6 +13,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import rng
+from .empirical import frequency_tv
 from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, ball
 
 GENERAL_CODE_CAP = 64
@@ -394,8 +395,7 @@ def histogram_tv(a: BallHistogram, b: BallHistogram) -> float:
     """Total variation distance between two ball histograms of equal radius."""
     if a.radius != b.radius:
         raise ValueError("histogram radii differ")
-    fa, fb = a.frequencies(), b.frequencies()
-    return 0.5 * sum(abs(fa.get(c, 0.0) - fb.get(c, 0.0)) for c in set(fa) | set(fb))
+    return frequency_tv(a.frequencies(), b.frequencies())
 
 
 def lw_deficiency(

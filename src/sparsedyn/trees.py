@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,17 +71,39 @@ def degree_dist(spec, tail_tolerance: float = 1e-12) -> DegreeDist:
     return DegreeDist(np.asarray(spec, dtype=np.float64), tail_tolerance)
 
 
+POISSON_THETA_MAX = 1e6
+
+
 def poisson_dist(theta: float, tail_tolerance: float = 1e-12) -> DegreeDist:
-    """Poisson(theta) truncated at tail mass < tail_tolerance and renormalized."""
+    """Poisson(theta) truncated at tail mass < tail_tolerance and renormalized.
+
+    Terms follow the recurrence p_k = p_{k-1} theta / k from exp(-theta).
+    Where exp(-theta) leaves the normal float range (theta above about 708)
+    that start has lost precision, so each term is computed in log space.
+    The dense law has about theta entries, hence the cap ``POISSON_THETA_MAX``.
+    """
     if theta < 0:
         raise ValueError("theta must be >= 0")
+    if theta > POISSON_THETA_MAX:
+        raise ValueError(f"theta={theta} above the supported maximum {POISSON_THETA_MAX:g}")
     if theta == 0:
         return DegreeDist(np.array([1.0]), tail_tolerance)
-    terms = [math.exp(-theta)]
+    first = math.exp(-theta)
+    log_space = first < sys.float_info.min
+    log_theta = math.log(theta)
+    terms = [first]
+    total = first
     k = 0
-    while 1.0 - sum(terms) >= tail_tolerance or k < theta:
+    while 1.0 - total >= tail_tolerance or k < theta:
         k += 1
-        terms.append(terms[-1] * theta / k)
+        if log_space:
+            term = math.exp(k * log_theta - theta - math.lgamma(k + 1))
+        else:
+            term = terms[-1] * theta / k
+        if k > theta and total + term == total:
+            break  # the tail is below float resolution: a smaller tolerance cannot be met
+        terms.append(term)
+        total += term
     p = np.array(terms)
     return DegreeDist(p / p.sum(), tail_tolerance)
 

@@ -17,7 +17,7 @@ from sparsedyn.dynamics import (
     simulate_diffusion,
     simulate_discrete,
 )
-from sparsedyn import rng
+from sparsedyn import dynamics, rng
 from sparsedyn.graphs import Graph, gen_lattice_box, gen_regular_tree
 
 K2 = Graph.from_edges(2, [(0, 1)])
@@ -334,3 +334,44 @@ class TestTrajectorySerialization:
         p = tmp_path / "t.csv"
         ts.to_csv(p)
         assert p.read_text().startswith("vertex,time,x0")
+
+
+class TestEngineBoundary:
+    @pytest.mark.parametrize("horizon, dt", [(1.0, 0.3), (0.25, 0.1)])
+    def test_horizon_not_a_multiple_of_dt_raises(self, horizon, dt):
+        # 1.0 with dt 0.3 used to end silently at 0.8999999999999999
+        model = builtin_model("consensus_sde", sigma0=0.5)
+        marks = np.array([1.0, -1.0])
+        with pytest.raises(ValueError, match="whole number of steps"):
+            simulate_diffusion(K2, marks, model, horizon, dt, seed=1)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            replica_paths_diffusion(K2, marks, model, horizon, dt, seed=1, replicas=2, record=[0])
+        with pytest.raises(ValueError, match="whole number of steps"):
+            covariance_decay_profile(K2, marks, model, [([0], [1], 1)], lambda p: 0.0, horizon, 100,
+                                     seed=1, dt=dt)
+
+    @pytest.mark.parametrize("horizon, dt, steps", [(0.3, 0.01, 30), (2.0, 0.1, 20), (100.0, 1e-3, 100_000)])
+    def test_rounding_noise_in_the_ratio_is_accepted(self, horizon, dt, steps):
+        assert dynamics._step_count(horizon, dt) == steps
+
+    @pytest.mark.parametrize("force_scalar", [False, True])
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_marks_outside_the_alphabet_raise_on_both_paths(self, force_scalar, bad):
+        # the voter batch path used to die in a reshape; the scalar path accepted them
+        g = gen_lattice_box(1, 4).graph
+        marks = np.zeros(g.vertex_count, dtype=np.int64)
+        marks[3] = bad
+        with pytest.raises(ValueError, match="alphabet|lie in"):
+            simulate_discrete(g, marks, builtin_model("voter"), 3, seed=1, force_scalar=force_scalar)
+
+    def test_replica_marks_outside_the_alphabet_raise(self):
+        g = gen_lattice_box(1, 4).graph
+        marks = np.zeros(g.vertex_count, dtype=np.int64)
+        marks[0] = 2
+        with pytest.raises(ValueError, match="lie in"):
+            replica_paths_discrete(g, marks, builtin_model("voter"), 3, seed=1, replicas=2, record=[0])
+
+    def test_float_marks_are_not_symbols(self):
+        model = builtin_model("noisy_majority", epsilon=0.0)
+        ts = simulate_discrete(TRIANGLE, np.array([0.0, 1.0, 1.0]), model, 2, seed=1, force_scalar=True)
+        assert ts.paths.dtype == np.float64

@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsedyn
 from sparsedyn.dynamics import builtin_model, simulate_discrete
 from sparsedyn.empirical import (
     EmpiricalMeasure,
@@ -269,3 +274,33 @@ class TestShiftAverage:
             rows.append(shift_average(ts, lambda block: float(block[-1, 0]), 0, [1, 2]))
         curve = ergodicity_variance_curve(rows, [1, 2])
         assert curve[0][1] == 0.0 and curve[1][1] == 0.0
+
+
+_TV_SCRIPT = """
+import numpy as np
+from sparsedyn.empirical import EmpiricalMeasure, tv_discrete
+from sparsedyn.localtopo import BallHistogram, histogram_tv
+
+gen = np.random.default_rng(7)
+t = np.arange(5)
+a = EmpiricalMeasure(gen.integers(0, 3, (999, 5)), t, "discrete")
+b = EmpiricalMeasure(np.minimum(gen.integers(0, 4, (1110, 5)), 2), t, "discrete")
+ca = {bytes([i]): int(c) for i, c in enumerate(gen.integers(1, 50, 40))}
+cb = {bytes([i + 20]): int(c) for i, c in enumerate(gen.integers(1, 70, 40))}
+ha = BallHistogram(ca, 2, sum(ca.values()))
+hb = BallHistogram(cb, 2, sum(cb.values()))
+print(repr(tv_discrete(a, b)), repr(tv_discrete(b, a)), repr(histogram_tv(ha, hb)), repr(histogram_tv(hb, ha)))
+"""
+
+
+def test_tv_is_independent_of_the_hash_seed():
+    # summing in set order gave a different last bit per PYTHONHASHSEED
+    src = str(Path(sparsedyn.__file__).resolve().parent.parent)
+    outs = set()
+    for seed in range(4):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+        out = subprocess.run([sys.executable, "-c", _TV_SCRIPT], capture_output=True, text=True,
+                             env=env, timeout=60, check=True).stdout.split()
+        assert out[0] == out[1] and out[2] == out[3]
+        outs.add(tuple(out))
+    assert len(outs) == 1

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsedyn import graphs
+from sparsedyn import graphs, trees
+from sparsedyn.dynamics import distances_to
 from sparsedyn.graphs import (
     Graph,
     RootedGraph,
@@ -345,3 +348,167 @@ class TestInvariantsAndSerialization:
     def test_degree_growth_validator(self):
         assert graphs.validate_max_degree_growth([2, 3, 2], 10**8)
         assert not graphs.validate_max_degree_growth([50], 10**4)
+
+
+# ---------------------------------------------------------------------------
+# CSR storage: invariants of every generator, derived views, references
+# ---------------------------------------------------------------------------
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def _degree_sequences(draw):
+    n = draw(st.integers(2, 30))
+    deg = draw(st.lists(st.integers(0, min(n - 1, 5)), min_size=n, max_size=n))
+    if sum(deg) % 2:
+        deg[deg.index(min(deg))] += 1
+    return deg
+
+
+def _regular(draw):
+    n = draw(st.integers(2, 30))
+    k = draw(st.integers(1, min(n - 1, 5)).filter(lambda k: n * k % 2 == 0))
+    return gen_random_regular(n, k, draw(SEEDS))
+
+
+def _canopy(draw):
+    levels = draw(st.integers(1, 3))
+    return gen_canopy_truncation(draw(st.integers(3, 4)), levels, draw(st.integers(1, 3)),
+                                 root_level=draw(st.integers(0, levels))).graph
+
+
+def _forest(draw):
+    rho = trees.poisson_dist(draw(st.floats(0.0, 3.0)))
+    child = trees.size_biased(rho) if rho.mean() > 0 else trees.delta_dist(0)
+    return trees.sample_forest(rho, child, draw(st.integers(0, 4)), draw(st.integers(1, 20)),
+                               draw(SEEDS), vertex_budget=draw(st.integers(5, 100))).graph
+
+
+@st.composite
+def generated_graphs(draw):
+    kind = draw(st.sampled_from(["er", "gnm", "cm", "regular", "lattice", "tree", "canopy", "forest", "ball"]))
+    if kind == "er":
+        return gen_erdos_renyi(draw(st.integers(1, 40)), draw(st.floats(0.0, 1.0)), draw(SEEDS))
+    if kind == "gnm":
+        n = draw(st.integers(1, 25))
+        return gen_gnm(n, draw(st.integers(0, n * (n - 1) // 2)), draw(SEEDS))
+    if kind == "cm":
+        return gen_configuration_model(draw(_degree_sequences()), draw(SEEDS), max_pairing_attempts=3)
+    if kind == "regular":
+        return _regular(draw)
+    if kind == "lattice":
+        return gen_lattice_box(draw(st.integers(1, 3)), draw(st.integers(0, 3))).graph
+    if kind == "tree":
+        return gen_regular_tree(draw(st.integers(2, 4)), draw(st.integers(0, 4))).graph
+    if kind == "canopy":
+        return _canopy(draw)
+    if kind == "forest":
+        return _forest(draw)
+    g = gen_erdos_renyi(draw(st.integers(1, 40)), 0.1, draw(SEEDS))
+    return ball(component_of(g, draw(st.integers(0, g.vertex_count - 1))), draw(st.integers(0, 3))).graph
+
+
+def _reference_edges(g):
+    return [(u, v) for u in range(g.vertex_count) for v in g.adjacency[u] if u < v]
+
+
+def _reference_labels(g):
+    labels = [-1] * g.vertex_count
+    for v in range(g.vertex_count):
+        if labels[v] < 0:
+            stack, labels[v] = [v], v
+            while stack:
+                for w in g.adjacency[stack.pop()]:
+                    if labels[w] < 0:
+                        labels[w] = v
+                        stack.append(w)
+    return labels
+
+
+def _reference_distances(g, region):
+    big = np.iinfo(np.int64).max
+    dist = [big] * g.vertex_count
+    frontier = sorted(set(region))
+    for v in frontier:
+        dist[v] = 0
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for w in g.adjacency[u]:
+                if dist[w] == big:
+                    dist[w] = depth
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+class TestCsrStorage:
+    @settings(max_examples=150, deadline=None)
+    @given(generated_graphs())
+    def test_generators_satisfy_the_invariants(self, g):
+        g.validate()
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert g.edge_count == len(_reference_edges(g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(generated_graphs())
+    def test_views_round_trip(self, g):
+        h = Graph(g.adjacency)
+        assert h.adjacency == g.adjacency
+        assert h == g and hash(h) == hash(g)
+        assert [tuple(e) for e in g.edges().tolist()] == _reference_edges(g)
+        assert Graph.from_edges(g.vertex_count, g.edges()) == g
+        assert list(g.degrees) == [len(a) for a in g.adjacency]
+
+    @settings(max_examples=100, deadline=None)
+    @given(generated_graphs(), st.data())
+    def test_traversals_match_loop_references(self, g, data):
+        assert graphs.component_labels(g).tolist() == _reference_labels(g)
+        region = data.draw(st.lists(st.integers(0, g.vertex_count - 1), min_size=1, max_size=3))
+        assert distances_to(g, region).tolist() == _reference_distances(g, region)
+        v = data.draw(st.integers(0, g.vertex_count - 1))
+        order, dist = graphs._bfs(g, v, max_depth=2)
+        ref = _reference_distances(g, [v])
+        assert sorted(order) == [u for u in range(g.vertex_count) if ref[u] <= 2]
+        assert all(dist[u] == ref[u] for u in order)
+
+    def test_equality_ignores_erased_fallback(self):
+        a = Graph(((1,), (0,)))
+        b = Graph(((1,), (0,)), erased_fallback=True)
+        assert a == b and hash(a) == hash(b) and b.erased_fallback
+        assert a != Graph(((), ())) and a != Graph(((1,), (0,), ()))
+
+    def test_graph_is_immutable(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(AttributeError):
+            g.indices = np.zeros(4, dtype=np.int64)
+        for arr in (g.indptr, g.indices, g.degrees, g.edge_src):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    @pytest.mark.parametrize("adjacency, message", [
+        (((1,), ()), "symmetric"),
+        (((1, 2), (0,), (0,), (3,)), "self-loop"),
+        (((2, 1), (0,), (0,)), "sorted"),
+        (((1, 1), (0, 0)), "sorted"),
+        (((5,), (0,)), "range"),
+    ])
+    def test_validate_rejects_broken_storage(self, adjacency, message):
+        with pytest.raises(AssertionError, match=message):
+            Graph(adjacency).validate()
+
+    def test_empty_and_edgeless(self):
+        for g in (Graph(()), Graph(((), (), ())), gen_gnm(4, 0, seed=1)):
+            g.validate()
+            assert g.edges().shape == (0, 2) and g.edge_count == 0
+        assert graphs.component_labels(Graph(((), (), ()))).tolist() == [0, 1, 2]
+
+    def test_distances_reject_bad_regions(self):
+        g = Graph.from_edges(3, [(0, 1)])
+        assert distances_to(g, [0]).tolist() == [0, 1, np.iinfo(np.int64).max]
+        for region in ([], [3], [-1]):
+            with pytest.raises(ValueError):
+                distances_to(g, region)

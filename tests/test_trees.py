@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import sparsedyn
 from sparsedyn import rng
 from sparsedyn.localtopo import canonical_code
 from sparsedyn.graphs import gen_regular_tree
@@ -273,3 +278,39 @@ class TestDuality:
         assert len(a) > 500 and len(b) > 2000
         res = stats.ks_2samp(a, b)
         assert res.statistic < 0.06
+
+
+class TestPoissonDist:
+    def test_theta_two_is_pinned(self):
+        # the benchmark's root-law digests depend on these exact bits
+        expected = [
+            0.13533528323670035, 0.2706705664734007, 0.2706705664734007, 0.1804470443156005,
+            0.09022352215780025, 0.0360894088631201, 0.012029802954373366, 0.00343708655839239,
+            0.0008592716395980975, 0.00019094925324402166, 3.818985064880433e-05,
+            6.943609208873515e-06, 1.157268201478919e-06, 1.7804126176598756e-07,
+            2.543446596656965e-08, 3.3912621288759533e-09, 4.2390776610949416e-10,
+            4.98715018952346e-11, 5.5412779883594e-12,
+        ]
+        assert poisson_dist(2.0).probabilities.tolist() == expected
+
+    def test_large_theta_and_tiny_tolerance_return_promptly(self):
+        # exp(-800) underflows to 0, and a tail tolerance below float resolution
+        # was never met: both looped forever.  A child process turns a hang
+        # into a failure instead of a stalled suite.
+        code = (
+            "import numpy as np; from sparsedyn.trees import poisson_dist\n"
+            "for t, tol in ((700.0, 1e-12), (708.5, 1e-12), (745.5, 1e-12), (800.0, 1e-12),"
+            " (2000.0, 1e-12), (30.0, 1e-30)):\n"
+            "    d = poisson_dist(t, tol); k = np.arange(d.k_max + 1)\n"
+            "    print(t, d.mean(), float(np.dot((k - t) ** 2, d.probabilities)), d.k_max)\n"
+            "try:\n    poisson_dist(2e6)\nexcept ValueError as exc:\n    print(exc)\n"
+        )
+        src = str(Path(sparsedyn.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        *lines, cap = out.splitlines()
+        assert "maximum" in cap
+        for line in lines:
+            t, mean, var, k_max = (float(x) for x in line.split())
+            assert abs(mean - t) < 1e-6 * t and abs(var - t) < 1e-6 * t
+            assert t < k_max < t + 12 * t**0.5 + 20
