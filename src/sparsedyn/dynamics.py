@@ -9,12 +9,17 @@ bit for bit.
 Built-in models aggregate neighbor states with sorted or counting reductions,
 so their output is invariant under any reordering of the neighbor bundle, in
 floating point and not just in law.
+
+:func:`simulate` runs any model; it and every estimator here dispatch on the
+model family in one place.  Single runs and replica blocks share one loop per
+family, and a replica block is the stack of its single runs, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -96,7 +101,8 @@ class GraphAux:
         """Row sums of neighbor values; ``values`` is (n,) or (..., n)."""
         if values.ndim == 1:
             return self.adjacency @ values
-        flat = values.reshape(-1, values.shape[-1])
+        # math.prod rather than -1, which numpy rejects when n is 0
+        flat = values.reshape(math.prod(values.shape[:-1]), values.shape[-1])
         return (self.adjacency @ flat.T).T.reshape(values.shape)
 
 
@@ -104,11 +110,14 @@ class GraphAux:
 class DiscreteModel:
     """Synchronous update rule for finite-alphabet (or scalar) states.
 
-    ``step(k, own_history, neighbor_states, u)`` consumes one uniform draw and
-    must be invariant under permutations of ``neighbor_states``.
-    ``isolated_step`` handles empty neighborhoods.  ``batch_step`` is an
-    optional vectorized path producing identical results; when present the
-    engine prefers it.
+    ``step(k, own_history, neighbor_states, u)``, the scalar rule, consumes
+    one uniform draw and must be invariant under permutations of
+    ``neighbor_states``; ``isolated_step`` handles empty neighborhoods.
+    ``batch_step(k, cur, aux, u)`` is an optional vectorised rule giving the
+    same results from the current states only: ``cur`` and ``u`` have shape
+    ``(..., n)``, leading axes being independent runs such as replicas.  The
+    engines use it when present and fall back to the scalar rule, which alone
+    may read the history.
     """
 
     name: str
@@ -122,12 +131,13 @@ class DiscreteModel:
 class DiffusionModel:
     """Drift/diffusion pair for Euler-Maruyama integration.
 
-    ``drift(t, own, neighbors)`` and ``sigma(t, own, neighbors)`` read current
-    states (a special case of the path-dependent contract; the interface keeps
-    histories out of the hot loop but nothing in the storage layout prevents
-    extending it).  ``lipschitz_constant`` is metadata used only for
-    reporting.  ``batch_drift``/``replica_drift`` are vectorized fast paths
-    for models whose sigma is the state-independent scalar ``sigma_scale``.
+    ``drift(t, own, neighbors)`` and ``sigma(t, own, neighbors)``, the scalar
+    rule, read one vertex's current state and its neighbors' states.
+    ``lipschitz_constant`` is metadata used only for reporting.
+    ``batch_drift(t, states, aux)`` is an optional vectorised drift over
+    current states of shape ``(..., n, d)``, leading axes being independent
+    runs such as replicas.  The engines use it with the state-independent
+    scalar ``sigma_scale`` when both are set, else the scalar rule.
     """
 
     name: str
@@ -136,16 +146,14 @@ class DiffusionModel:
     sigma: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     lipschitz_constant: float | None = None
     batch_drift: Callable | None = field(default=None, compare=False)
-    replica_drift: Callable | None = field(default=None, compare=False)
     sigma_scale: float | None = None
 
 
-def _resolve_graph(g) -> tuple[Graph, np.ndarray | None]:
+def _resolve_graph(g, marks) -> tuple[Graph, np.ndarray | None]:
+    """The plain graph of ``g``, and ``marks`` or else the marks ``g`` carries."""
     if isinstance(g, MarkedGraph):
-        return g.graph, np.asarray(g.marks)
-    if isinstance(g, RootedGraph):
-        return g.graph, None
-    return g, None
+        return g.graph, np.asarray(g.marks) if marks is None else marks
+    return (g.graph if isinstance(g, RootedGraph) else g), marks
 
 
 def _step_count(horizon: float, dt: float) -> int:
@@ -158,6 +166,13 @@ def _step_count(horizon: float, dt: float) -> int:
     if abs(ratio - steps) > 1e-9 * ratio:
         raise ValueError(f"horizon {horizon!r} is not a whole number of steps of dt {dt!r}")
     return steps
+
+
+def _whole_steps(k_max) -> int:
+    """A discrete horizon counts steps: a whole number >= 0, never truncated."""
+    if not float(k_max).is_integer() or k_max < 0:
+        raise ValueError(f"a discrete horizon must be a whole number of steps >= 0, got {k_max!r}")
+    return int(k_max)
 
 
 def _check_marks(marks: np.ndarray, model: DiscreteModel) -> None:
@@ -177,6 +192,85 @@ def _per_vertex(value, n: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _run_noise(n: int, streams, noise_index) -> tuple[np.ndarray, np.ndarray]:
+    """(noise index, stream) of every vertex in a single run."""
+    vertex = np.arange(n, dtype=np.int64) if noise_index is None else _per_vertex(noise_index, n)
+    return vertex, _per_vertex(streams, n)
+
+
+def _replica_noise(n: int, replicas: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """(noise index, stream) broadcasting to (replicas, n): replica r is the
+    single run on stream 2(r + offset)."""
+    streams = 2 * (offset + np.arange(replicas, dtype=np.int64))[:, None]
+    return np.arange(n, dtype=np.int64)[None, :], streams
+
+
+def _discrete_states(model: DiscreteModel, aux: GraphAux, x0: np.ndarray, k_max: int, key: int,
+                     vertex, stream):
+    """Yield X(1), ..., X(k_max) from X(0) = ``x0`` of shape (..., n); the
+    draws of step k, ``rng.uniform(key, vertex, k, stream=stream)``, broadcast
+    to that shape.  ``batch_step`` advances all leading axes in one call;
+    the scalar fallback runs per vertex on a history kept here."""
+    hist = None if model.batch_step is not None else np.empty((k_max + 1, *x0.shape), dtype=x0.dtype)
+    cur = x0
+    for k in range(k_max):
+        u = rng.uniform(key, vertex, k + 1, stream=stream)
+        if hist is None:
+            cur = np.asarray(model.batch_step(k, cur, aux, u), dtype=x0.dtype)
+        else:
+            hist[k] = cur
+            cur = hist[k + 1]
+            for idx in np.ndindex(x0.shape[:-1]):
+                own, nxt, draws = hist[(slice(0, k + 1), *idx)], cur[idx], u[idx]
+                for v in range(len(aux.degrees)):
+                    nb = aux.indices[aux.indptr[v] : aux.indptr[v + 1]]
+                    if nb.size:
+                        nxt[v] = model.step(k, own[:, v], own[k, nb], float(draws[v]))
+                    else:
+                        nxt[v] = model.isolated_step(k, own[:, v], float(draws[v]))
+        yield cur
+
+
+def _diffusion_states(model: DiffusionModel, aux: GraphAux, x0: np.ndarray, steps: int, dt: float,
+                      key: int, vertex, stream):
+    """Yield the Euler-Maruyama states X(dt), ..., X(steps dt) from X(0) =
+    ``x0`` of shape (..., n, d); ``vertex`` and ``stream`` broadcast to
+    (..., n).  Raises :class:`NumericalAbort` on a non-finite state."""
+    sqdt = math.sqrt(dt)
+    batch = model.batch_drift is not None and model.sigma_scale is not None
+    # one draw per (vertex, component): slot j drives component j
+    vertex, stream, slots = vertex[..., None], stream[..., None], np.arange(model.dim)
+    cur = x0
+    for step in range(steps):
+        t = step * dt
+        z = rng.gauss(key, vertex, step + 1, stream=stream, slot=slots)
+        if batch:
+            nxt = cur + model.batch_drift(t, cur, aux) * dt + model.sigma_scale * sqdt * z
+        else:
+            nxt = np.empty_like(cur)
+            for idx in np.ndindex(x0.shape[:-2]):
+                here, out, noise = cur[idx], nxt[idx], z[idx]
+                for v in range(len(aux.degrees)):
+                    nb_states = here[aux.indices[aux.indptr[v] : aux.indptr[v + 1]]]
+                    b = np.asarray(model.drift(t, here[v], nb_states), dtype=np.float64)
+                    s = np.asarray(model.sigma(t, here[v], nb_states), dtype=np.float64)
+                    noise_term = float(s) * noise[v] if s.ndim == 0 else s @ noise[v]
+                    out[v] = here[v] + b * dt + sqdt * noise_term
+        if not np.all(np.isfinite(nxt)):
+            raise NumericalAbort(step + 1)
+        cur = nxt
+        yield cur
+
+
+def _paths(x0: np.ndarray, states, steps: int) -> np.ndarray:
+    """(steps+1, *x0.shape) array of X(0) and the states a loop yields."""
+    paths = np.empty((steps + 1, *x0.shape), dtype=x0.dtype)
+    paths[0] = x0
+    for k, x in enumerate(states, 1):
+        paths[k] = x
+    return paths
+
+
 def simulate_discrete(
     g,
     marks,
@@ -186,40 +280,21 @@ def simulate_discrete(
     *,
     streams=0,
     noise_index=None,
-    force_scalar: bool = False,
 ) -> TrajectorySet:
     """Run X(k+1) = F(k, X_v[0..k], X_neighbors(k), xi_v(k+1)) for k < k_max."""
-    graph, inferred = _resolve_graph(g)
-    if marks is None:
-        marks = inferred
-    state0 = np.asarray(marks)
+    k_max = _whole_steps(k_max)
+    graph, marks = _resolve_graph(g, marks)
+    x0 = np.asarray(marks)
     n = graph.vertex_count
-    if state0.shape[0] != n:
+    if x0.shape[0] != n:
         raise ValueError("marks length must equal vertex count")
-    _check_marks(state0, model)
-    dtype = np.int64 if state0.dtype.kind in "iub" else np.float64
+    _check_marks(x0, model)
+    x0 = x0.astype(np.int64 if x0.dtype.kind in "iub" else np.float64)
     key = rng.stream_key(seed, _DISC_TAG)
-    stream_arr = _per_vertex(streams, n)
-    noise_arr = np.arange(n, dtype=np.int64) if noise_index is None else _per_vertex(noise_index, n)
-    aux = GraphAux.of(graph)
-    paths = np.empty((k_max + 1, *state0.shape), dtype=dtype)
-    paths[0] = state0
-    use_batch = model.batch_step is not None and not force_scalar
-    for k in range(k_max):
-        u = rng.uniform(key, noise_arr, k + 1, stream=stream_arr)
-        if use_batch:
-            paths[k + 1] = model.batch_step(k, paths[: k + 1], aux, u)
-        else:
-            cur = paths[k]
-            nxt = paths[k + 1]
-            for v in range(n):
-                nb = aux.indices[aux.indptr[v] : aux.indptr[v + 1]]
-                if nb.size:
-                    nxt[v] = model.step(k, paths[: k + 1, v], cur[nb], float(u[v]))
-                else:
-                    nxt[v] = model.isolated_step(k, paths[: k + 1, v], float(u[v]))
+    states = _discrete_states(model, GraphAux.of(graph), x0, k_max, key,
+                              *_run_noise(n, streams, noise_index))
     times = np.arange(k_max + 1, dtype=np.int64)
-    return TrajectorySet(graph, times, paths, "discrete")
+    return TrajectorySet(graph, times, _paths(x0, states, k_max), "discrete")
 
 
 def simulate_diffusion(
@@ -232,7 +307,6 @@ def simulate_diffusion(
     *,
     streams=0,
     noise_index=None,
-    force_scalar: bool = False,
 ) -> TrajectorySet:
     """Euler-Maruyama on the graph: X += b dt + sigma sqrt(dt) Z per step.
 
@@ -240,9 +314,7 @@ def simulate_diffusion(
     :class:`NumericalAbort` if any state turns non-finite.
     """
     steps = _step_count(horizon, dt)
-    graph, inferred = _resolve_graph(g)
-    if marks is None:
-        marks = inferred
+    graph, marks = _resolve_graph(g, marks)
     x0 = np.asarray(marks, dtype=np.float64)
     n = graph.vertex_count
     d = model.dim
@@ -253,36 +325,35 @@ def simulate_diffusion(
     if x0.shape != (n, d):
         raise ValueError("marks must have shape (n,) or (n, dim)")
     key = rng.stream_key(seed, _DIFF_TAG)
-    stream_arr = _per_vertex(streams, n)
-    noise_arr = np.arange(n, dtype=np.int64) if noise_index is None else _per_vertex(noise_index, n)
-    aux = GraphAux.of(graph)
-    paths = np.empty((steps + 1, n, d), dtype=np.float64)
-    paths[0] = x0
-    sqdt = math.sqrt(dt)
-    use_batch = model.batch_drift is not None and model.sigma_scale is not None and not force_scalar
-    for step in range(steps):
-        t = step * dt
-        cur = paths[step]
-        z = np.stack(
-            [rng.gauss(key, noise_arr, step + 1, stream=stream_arr, slot=j) for j in range(d)],
-            axis=1,
-        )
-        if use_batch:
-            drift = model.batch_drift(t, cur, aux)
-            paths[step + 1] = cur + drift * dt + model.sigma_scale * sqdt * z
-        else:
-            nxt = paths[step + 1]
-            for v in range(n):
-                nb = aux.indices[aux.indptr[v] : aux.indptr[v + 1]]
-                nb_states = cur[nb]
-                b = np.asarray(model.drift(t, cur[v], nb_states), dtype=np.float64)
-                s = np.asarray(model.sigma(t, cur[v], nb_states), dtype=np.float64)
-                noise_term = float(s) * z[v] if s.ndim == 0 else s @ z[v]
-                nxt[v] = cur[v] + b * dt + sqdt * noise_term
-        if not np.all(np.isfinite(paths[step + 1])):
-            raise NumericalAbort(step + 1)
+    states = _diffusion_states(model, GraphAux.of(graph), x0, steps, dt, key,
+                               *_run_noise(n, streams, noise_index))
     times = np.arange(steps + 1, dtype=np.float64) * dt
-    return TrajectorySet(graph, times, paths, "vector")
+    return TrajectorySet(graph, times, _paths(x0, states, steps), "vector")
+
+
+def _dispatch(model, horizon, dt):
+    """The one discrete/diffusion dispatch: ``(steps, run, replica_paths)``,
+    the engines of the model's family with model and horizon bound.  They are
+    looked up at call time, so patched module bindings apply."""
+    if isinstance(model, DiscreteModel):
+        steps = _whole_steps(horizon)
+        return (steps, partial(simulate_discrete, model=model, k_max=steps),
+                partial(replica_paths_discrete, model=model, k_max=steps))
+    if dt is None:
+        raise ValueError("dt is required for diffusion models")
+    return (_step_count(horizon, dt), partial(simulate_diffusion, model=model, horizon=horizon, dt=dt),
+            partial(replica_paths_diffusion, model=model, horizon=horizon, dt=dt))
+
+
+def simulate(g, marks, model, horizon, seed: int, *, dt: float | None = None, streams=0,
+             noise_index=None) -> TrajectorySet:
+    """One run of a discrete or diffusion model on ``g`` from ``marks``.
+
+    ``horizon`` counts steps for a :class:`DiscreteModel` (a whole number)
+    and is a time for a :class:`DiffusionModel`, run in Euler steps of ``dt``.
+    """
+    _, run, _ = _dispatch(model, horizon, dt)
+    return run(g, marks, seed=seed, streams=streams, noise_index=noise_index)
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +379,15 @@ def voter_model(alphabet_size: int = 2) -> DiscreteModel:
     def isolated(k, own_hist, u):
         return int(own_hist[-1])
 
-    def batch(k, hist, aux: GraphAux, u):
-        cur = hist[-1]
-        n = cur.shape[0]
-        a = alphabet_size
-        counts = np.bincount(aux.edge_src * a + cur[aux.indices], minlength=n * a).reshape(n, a)
-        cums = np.cumsum(counts, axis=1)
-        pick = np.floor(u * aux.degrees).astype(np.int64)
-        nxt = np.sum(cums <= pick[:, None], axis=1)
+    def batch(k, cur, aux: GraphAux, u):
+        # the pick-th smallest neighbor state exceeds s iff at most pick
+        # neighbors hold a state <= s (counts are exact in float64)
+        pick = np.floor(u * aux.degrees)
+        at_most = np.zeros(cur.shape)
+        nxt = np.zeros(cur.shape, dtype=np.int64)
+        for s in range(alphabet_size - 1):
+            at_most += aux.neighbor_sums((cur == s).astype(np.float64))
+            nxt += at_most <= pick
         return np.where(aux.degrees > 0, nxt, cur)
 
     return DiscreteModel("voter", alphabet_size, step, isolated, batch)
@@ -342,9 +414,8 @@ def noisy_majority_model(epsilon: float = 0.0) -> DiscreteModel:
     def isolated(k, own_hist, u):
         return decide(int(own_hist[-1]), 0, 0, u)
 
-    def batch(k, hist, aux: GraphAux, u):
-        cur = hist[-1]
-        ones = np.rint(aux.adjacency @ cur.astype(np.float64)).astype(np.int64)
+    def batch(k, cur, aux: GraphAux, u):
+        ones = np.rint(aux.neighbor_sums(cur.astype(np.float64))).astype(np.int64)
         maj = np.where(2 * ones > aux.degrees, 1, np.where(2 * ones < aux.degrees, 0, cur))
         return np.where(u < epsilon, 1 - maj, maj)
 
@@ -366,19 +437,14 @@ def consensus_sde_model(sigma0: float = 1.0, dim: int = 1) -> DiffusionModel:
         return np.float64(sigma0)
 
     def batch(t, states, aux: GraphAux):
-        sums = aux.adjacency @ states
+        # sum each of the d components over the neighbors, along the vertex axis
+        sums = np.swapaxes(aux.neighbor_sums(np.swapaxes(states, -1, -2)), -1, -2)
         mean = sums / np.maximum(aux.degrees, 1)[:, None]
         return np.where(aux.degrees[:, None] > 0, mean - states, 0.0)
 
-    def replica(t, states, aux: GraphAux):
-        # states: (R, n) scalar components
-        sums = aux.neighbor_sums(states)
-        mean = sums / np.maximum(aux.degrees, 1)[None, :]
-        return np.where(aux.degrees[None, :] > 0, mean - states, 0.0)
-
     return DiffusionModel(
         f"consensus_sde({sigma0})", dim, drift, sigma,
-        lipschitz_constant=2.0, batch_drift=batch, replica_drift=replica,
+        lipschitz_constant=2.0, batch_drift=batch,
         sigma_scale=float(sigma0),
     )
 
@@ -395,22 +461,17 @@ def kuramoto_model(coupling: float = 1.0, sigma0: float = 0.0) -> DiffusionModel
     def sigma(t, own, neighbors):
         return np.float64(sigma0)
 
-    def _pairwise(x, aux):
+    def batch(t, states, aux: GraphAux):
+        x = states[..., 0]
         sin_sum = aux.neighbor_sums(np.sin(x))
         cos_sum = aux.neighbor_sums(np.cos(x))
         deg = np.maximum(aux.degrees, 1)
         val = coupling * (np.cos(x) * sin_sum - np.sin(x) * cos_sum) / deg
-        return np.where(aux.degrees > 0, val, 0.0)
-
-    def batch(t, states, aux: GraphAux):
-        return _pairwise(states[:, 0], aux)[:, None]
-
-    def replica(t, states, aux: GraphAux):
-        return _pairwise(states, aux)
+        return np.where(aux.degrees > 0, val, 0.0)[..., None]
 
     return DiffusionModel(
         f"kuramoto({coupling},{sigma0})", 1, drift, sigma,
-        lipschitz_constant=2.0 * coupling, batch_drift=batch, replica_drift=replica,
+        lipschitz_constant=2.0 * coupling, batch_drift=batch,
         sigma_scale=float(sigma0),
     )
 
@@ -469,22 +530,11 @@ def coupled_triple(
     and Z are therefore driven by disjoint noise collections and are
     independent, while each agrees with X on the complementary half.
     """
-    graph, inferred = _resolve_graph(g)
-    if marks is None:
-        marks = inferred
-    d1 = distances_to(graph, region_a)
-    d2 = distances_to(graph, region_b)
-    swap = d1 >= d2
-    streams_x = np.zeros(graph.vertex_count, dtype=np.int64)
-    streams_y = np.where(swap, 1, 0)
-    streams_z = np.where(swap, 0, 1)
-    if isinstance(model, DiscreteModel):
-        run = lambda s: simulate_discrete(graph, marks, model, int(horizon), seed, streams=s)
-    else:
-        if dt is None:
-            raise ValueError("dt is required for diffusion models")
-        run = lambda s: simulate_diffusion(graph, marks, model, float(horizon), dt, seed, streams=s)
-    return run(streams_x), run(streams_y), run(streams_z)
+    graph, marks = _resolve_graph(g, marks)
+    _, run, _ = _dispatch(model, horizon, dt)
+    swap = distances_to(graph, region_a) >= distances_to(graph, region_b)
+    streams = (np.zeros(graph.vertex_count, dtype=np.int64), np.where(swap, 1, 0), np.where(swap, 0, 1))
+    return tuple(run(graph, marks, seed=seed, streams=s) for s in streams)
 
 
 @dataclass(frozen=True)
@@ -520,30 +570,18 @@ def replica_paths_discrete(
 ) -> np.ndarray:
     """(replicas, k_max+1, |record|) paths; replica r uses noise streams 2(r+offset).
 
-    Requires a batch-capable model reading only the current state (true of the
-    built-ins).  Replica r reproduces ``simulate_discrete(..., streams=2*(r+offset))``.
+    All replicas advance together along a leading replica axis.  Replica r
+    reproduces ``simulate_discrete(..., streams=2*(r+offset))``.
     """
-    if model.batch_step is None:
-        raise ValueError("replica batching needs a batch-capable model")
-    aux = GraphAux.of(graph)
-    n = graph.vertex_count
-    key = rng.stream_key(seed, _DISC_TAG)
-    record = np.asarray(record, dtype=np.int64)
-    out = np.empty((replicas, k_max + 1, len(record)), dtype=np.int64)
+    k_max = _whole_steps(k_max)
     marks = np.asarray(marks, dtype=np.int64)
     _check_marks(marks, model)
-    states = np.tile(marks, (replicas, 1))
-    out[:, 0, :] = states[:, record]
-    rep_streams = 2 * (replica_offset + np.arange(replicas, dtype=np.int64))[:, None]
-    verts = np.arange(n, dtype=np.int64)[None, :]
-    for k in range(k_max):
-        u = rng.uniform(key, verts, k + 1, stream=rep_streams)
-        nxt = np.empty_like(states)
-        for r in range(replicas):
-            nxt[r] = model.batch_step(k, states[r][None, :], aux, u[r])
-        states = nxt
-        out[:, k + 1, :] = states[:, record]
-    return out
+    record = np.asarray(record, dtype=np.int64)
+    x0 = np.tile(marks, (replicas, 1))
+    key = rng.stream_key(seed, _DISC_TAG)
+    noise = _replica_noise(graph.vertex_count, replicas, replica_offset)
+    states = _discrete_states(model, GraphAux.of(graph), x0, k_max, key, *noise)
+    return np.stack([x0[:, record], *(x[:, record] for x in states)], axis=1)
 
 
 def replica_paths_diffusion(
@@ -558,34 +596,21 @@ def replica_paths_diffusion(
     *,
     replica_offset: int = 0,
 ) -> np.ndarray:
-    """(replicas, steps+1, |record|) scalar paths, vectorized across replicas.
+    """(replicas, steps+1, |record|) scalar paths of a dim-1 model.
 
-    Supports dim-1 models exposing ``replica_drift`` with scalar sigma.
-    Replica r reproduces ``simulate_diffusion(..., streams=2*(r+offset))``.
+    All replicas advance together along a leading replica axis.  Replica r
+    reproduces ``simulate_diffusion(..., streams=2*(r+offset))``.
     """
-    if model.replica_drift is None or model.sigma_scale is None or model.dim != 1:
-        raise ValueError("replica batching needs a dim-1 model with replica_drift")
+    if model.dim != 1:
+        raise ValueError("replica paths need a dim-1 model")
     steps = _step_count(horizon, dt)
-    aux = GraphAux.of(graph)
     n = graph.vertex_count
-    key = rng.stream_key(seed, _DIFF_TAG)
     record = np.asarray(record, dtype=np.int64)
-    x0 = np.asarray(marks, dtype=np.float64).reshape(n)
-    out = np.empty((replicas, steps + 1, len(record)), dtype=np.float64)
-    states = np.tile(x0, (replicas, 1))
-    out[:, 0, :] = states[:, record]
-    rep_streams = 2 * (replica_offset + np.arange(replicas, dtype=np.int64))[:, None]
-    verts = np.arange(n, dtype=np.int64)[None, :]
-    sqdt = math.sqrt(dt)
-    for step in range(steps):
-        t = step * dt
-        z = rng.gauss(key, verts, step + 1, stream=rep_streams, slot=0)
-        drift = model.replica_drift(t, states, aux)
-        states = states + drift * dt + model.sigma_scale * sqdt * z
-        if not np.all(np.isfinite(states)):
-            raise NumericalAbort(step + 1)
-        out[:, step + 1, :] = states[:, record]
-    return out
+    x0 = np.tile(np.asarray(marks, dtype=np.float64).reshape(n, 1), (replicas, 1, 1))
+    key = rng.stream_key(seed, _DIFF_TAG)
+    noise = _replica_noise(n, replicas, replica_offset)
+    states = _diffusion_states(model, GraphAux.of(graph), x0, steps, dt, key, *noise)
+    return np.stack([x0[:, record, 0], *(x[:, record, 0] for x in states)], axis=1)
 
 
 def covariance_decay_profile(
@@ -609,17 +634,10 @@ def covariance_decay_profile(
     """
     if replicas < 100:
         raise ValueError("replicas must be >= 100")
-    graph, inferred = _resolve_graph(g)
-    if marks is None:
-        marks = inferred
+    graph, marks = _resolve_graph(g, marks)
     needed = sorted({int(v) for a, b, _ in pairs for v in (*a, *b)})
     pos = {v: i for i, v in enumerate(needed)}
-    if isinstance(model, DiscreteModel):
-        steps = int(horizon)
-    else:
-        if dt is None:
-            raise ValueError("dt is required for diffusion models")
-        steps = _step_count(float(horizon), dt)
+    steps, _, replica_paths = _dispatch(model, horizon, dt)
     # chunk replicas so recorded paths stay within ~10^7 scalars
     chunk = max(1, min(replicas, 10_000_000 // max(1, (steps + 1) * len(needed))))
     fa_parts = {i: [] for i in range(len(pairs))}
@@ -627,14 +645,7 @@ def covariance_decay_profile(
     done = 0
     while done < replicas:
         size = min(chunk, replicas - done)
-        if isinstance(model, DiscreteModel):
-            block = replica_paths_discrete(
-                graph, marks, model, int(horizon), seed, size, needed, replica_offset=done
-            )
-        else:
-            block = replica_paths_diffusion(
-                graph, marks, model, float(horizon), dt, seed, size, needed, replica_offset=done
-            )
+        block = replica_paths(graph, marks, seed=seed, replicas=size, record=needed, replica_offset=done)
         for i, (region_a, region_b, _) in enumerate(pairs):
             ia = [pos[int(v)] for v in region_a]
             ib = [pos[int(v)] for v in region_b]

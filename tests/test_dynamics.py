@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from sparsedyn.dynamics import (
     distances_to,
     replica_paths_diffusion,
     replica_paths_discrete,
+    simulate,
     simulate_diffusion,
     simulate_discrete,
 )
@@ -48,7 +50,7 @@ class TestDiscreteEngine:
         for name, kwargs in (("voter", {}), ("noisy_majority", {"epsilon": 0.2})):
             model = builtin_model(name, **kwargs)
             a = simulate_discrete(g, marks, model, 5, seed=9)
-            b = simulate_discrete(g, marks, model, 5, seed=9, force_scalar=True)
+            b = simulate_discrete(g, marks, dataclasses.replace(model, batch_step=None), 5, seed=9)
             assert np.array_equal(a.paths, b.paths), name
 
     def test_determinism(self):
@@ -147,18 +149,16 @@ class TestDiffusionEngine:
         g = gen_regular_tree(3, 2).graph
         marks = np.linspace(-1, 1, g.vertex_count)
         a = simulate_diffusion(g, marks, model, 0.5, 0.01, seed=7)
-        b = simulate_diffusion(g, marks, model, 0.5, 0.01, seed=7, force_scalar=True)
+        b = simulate_diffusion(g, marks, dataclasses.replace(model, batch_drift=None), 0.5, 0.01, seed=7)
         assert np.allclose(a.paths, b.paths, atol=1e-12)
 
     def test_equivariance_scalar_path(self):
-        model = builtin_model("kuramoto", coupling=1.0, sigma0=0.3)
+        model = dataclasses.replace(builtin_model("kuramoto", coupling=1.0, sigma0=0.3), batch_drift=None)
         n = 6
         phi = np.array([(v + 1) % n for v in range(n)])
         marks = np.linspace(0, 2, n)
-        base = simulate_diffusion(C6, marks, model, 0.3, 0.01, seed=9, force_scalar=True)
-        permuted = simulate_diffusion(
-            C6, marks[phi], model, 0.3, 0.01, seed=9, noise_index=phi, force_scalar=True
-        )
+        base = simulate_diffusion(C6, marks, model, 0.3, 0.01, seed=9)
+        permuted = simulate_diffusion(C6, marks[phi], model, 0.3, 0.01, seed=9, noise_index=phi)
         for v in range(n):
             assert np.array_equal(permuted.paths[:, v, 0], base.paths[:, phi[v], 0])
 
@@ -218,7 +218,39 @@ class TestReplicaBatching:
         block = replica_paths_diffusion(K2, marks, model, 0.3, 0.01, seed=5, replicas=4, record=[0, 1])
         for r in range(4):
             solo = simulate_diffusion(K2, marks, model, 0.3, 0.01, seed=5, streams=2 * r)
-            assert np.allclose(block[r], solo.paths[:, :, 0], atol=1e-14)
+            assert np.array_equal(block[r], solo.paths[:, :, 0])
+
+    @pytest.mark.parametrize("name, kwargs", [("voter", {"alphabet_size": 3}),
+                                              ("noisy_majority", {"epsilon": 0.2})])
+    def test_scalar_rule_runs_over_the_replica_axis(self, name, kwargs):
+        g = gen_lattice_box(2, 2).graph
+        marks = np.arange(g.vertex_count) % 2
+        model = builtin_model(name, **kwargs)
+        batch, scalar = (replica_paths_discrete(g, marks, m, 3, 4, 5, [0, 4, 8], replica_offset=2)
+                         for m in (model, dataclasses.replace(model, batch_step=None)))
+        assert np.array_equal(batch, scalar)
+
+    def test_scalar_diffusion_runs_over_the_replica_axis(self):
+        model = dataclasses.replace(builtin_model("kuramoto", sigma0=0.3), batch_drift=None)
+        g = gen_regular_tree(2, 2).graph
+        marks = np.linspace(-1.0, 1.0, g.vertex_count)
+        block = replica_paths_diffusion(g, marks, model, 0.3, 0.1, seed=5, replicas=3, record=[0, 2, 4],
+                                        replica_offset=1)
+        for r in range(3):
+            solo = simulate_diffusion(g, marks, model, 0.3, 0.1, seed=5, streams=2 * (r + 1))
+            assert np.array_equal(block[r], solo.paths[:, [0, 2, 4], 0])
+
+    def test_batch_rule_reads_the_current_state(self):
+        # a rule that reads its input as the current state: X(k) = X(0) + k mod 5.
+        # The replica engine used to hand batch_step a one-row history instead.
+        step = lambda k, own, nb, u: (int(own[-1]) + 1) % 5
+        model = dynamics.DiscreteModel("count", 5, step, lambda k, own, u: (int(own[-1]) + 1) % 5,
+                                       batch_step=lambda k, cur, aux, u: (cur + 1) % 5)
+        marks = np.array([0, 3, 4])
+        expect = (marks[None, :] + np.arange(4)[:, None]) % 5
+        assert np.array_equal(simulate_discrete(TRIANGLE, marks, model, 3, seed=1).paths, expect)
+        block = replica_paths_discrete(TRIANGLE, marks, model, 3, seed=1, replicas=2, record=[0, 1, 2])
+        assert np.array_equal(block, np.stack([expect, expect]))
 
     def test_offset_continuation(self):
         model = builtin_model("consensus_sde", sigma0=0.4)
@@ -228,6 +260,105 @@ class TestReplicaBatching:
             K2, marks, model, 0.2, 0.01, seed=5, replicas=3, record=[0], replica_offset=3
         )
         assert np.array_equal(full[3:], tail)
+
+
+class TestSimulate:
+    def test_dispatches_to_the_family_engine(self):
+        g = gen_lattice_box(2, 2).graph
+        n = g.vertex_count
+        noise = dict(streams=np.arange(n) % 2, noise_index=np.arange(n)[::-1])
+        marks = np.arange(n) % 2
+        voter = builtin_model("voter")
+        assert np.array_equal(simulate(g, marks, voter, 4, 3, **noise).paths,
+                              simulate_discrete(g, marks, voter, 4, 3, **noise).paths)
+        kuramoto = builtin_model("kuramoto", sigma0=0.5)
+        assert np.array_equal(simulate(g, marks, kuramoto, 0.4, 3, dt=0.1, **noise).paths,
+                              simulate_diffusion(g, marks, kuramoto, 0.4, 0.1, 3, **noise).paths)
+
+    def test_diffusion_needs_dt(self):
+        model = builtin_model("consensus_sde")
+        marks = np.array([1.0, -1.0])
+        with pytest.raises(ValueError, match="dt is required"):
+            simulate(K2, marks, model, 1.0, 1)
+        with pytest.raises(ValueError, match="dt is required"):
+            coupled_triple(K2, marks, [0], [1], model, 1.0, 1)
+        with pytest.raises(ValueError, match="dt is required"):
+            covariance_decay_profile(K2, marks, model, [([0], [1], 1)], lambda p: 0.0, 1.0, 100, seed=1)
+
+    @pytest.mark.parametrize("horizon", [2.7, -1, float("nan"), float("inf")])
+    def test_discrete_horizon_never_truncates(self, horizon):
+        # coupled_triple(..., horizon=2.7) used to run 2 steps, and
+        # simulate_discrete(..., k_max=-1) to die with an IndexError
+        voter = builtin_model("voter")
+        marks = np.array([0, 1])
+        with pytest.raises(ValueError, match="whole number of steps"):
+            simulate(K2, marks, voter, horizon, 1)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            simulate_discrete(K2, marks, voter, horizon, 1)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            coupled_triple(K2, marks, [0], [1], voter, horizon, 1)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            replica_paths_discrete(K2, marks, voter, horizon, 1, replicas=2, record=[0])
+        with pytest.raises(ValueError, match="whole number of steps"):
+            covariance_decay_profile(K2, marks, voter, [([0], [1], 1)], lambda p: 0.0, horizon, 100, seed=1)
+
+    def test_integral_float_horizon_is_accepted(self):
+        voter = builtin_model("voter")
+        a = simulate(TRIANGLE, np.array([0, 1, 1]), voter, 4.0, 2)
+        assert np.array_equal(a.paths, simulate_discrete(TRIANGLE, np.array([0, 1, 1]), voter, 4, 2).paths)
+
+
+SINGLE = Graph(((),))
+EDGELESS = Graph.from_edges(4, [])
+
+
+def _mark_final(p):
+    return float(p[-1, 0])
+
+
+@pytest.mark.parametrize("g", [SINGLE, EDGELESS], ids=["n1", "edgeless"])
+class TestEdgeCases:
+    @pytest.mark.parametrize("name, kwargs", [("voter", {}), ("noisy_majority", {"epsilon": 0.3})])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_discrete(self, g, name, kwargs, k):
+        n = g.vertex_count
+        marks = np.arange(n) % 2
+        model = builtin_model(name, **kwargs)
+        ts = simulate(g, marks, model, k, 1)
+        assert ts.paths.shape == (k + 1, n) and ts.times.tolist() == list(range(k + 1))
+        if name == "voter":  # isolated vertices hold
+            assert np.array_equal(ts.paths, np.tile(marks, (k + 1, 1)))
+        for replicas in (1, 3):
+            block = replica_paths_discrete(g, marks, model, k, 1, replicas, list(range(n)))
+            assert block.shape == (replicas, k + 1, n)
+            for r in range(replicas):
+                assert np.array_equal(block[r], simulate(g, marks, model, k, 1, streams=2 * r).paths)
+        prof = covariance_decay_profile(g, marks, model, [([0], [n - 1], 0)], _mark_final, k, 100, seed=1)
+        assert prof.estimates.shape == prof.ci_half_widths.shape == (1,)
+        if k == 0:  # deterministic paths have no covariance
+            assert prof.estimates[0] == 0.0 and prof.ci_half_widths[0] == 0.0
+        with pytest.raises(ValueError, match=">= 100"):
+            covariance_decay_profile(g, marks, model, [([0], [n - 1], 0)], _mark_final, k, 1, seed=1)
+
+    @pytest.mark.parametrize("name", ["consensus_sde", "kuramoto"])
+    def test_single_step_diffusion(self, g, name):
+        n = g.vertex_count
+        marks = np.linspace(-1.0, 1.0, n)
+        model = builtin_model(name, sigma0=0.5)
+        ts = simulate(g, marks, model, 0.1, 1, dt=0.1)
+        assert ts.paths.shape == (2, n, 1) and ts.times.tolist() == [0.0, 0.1]
+        for replicas in (1, 3):
+            block = replica_paths_diffusion(g, marks, model, 0.1, 0.1, 1, replicas, list(range(n)))
+            assert block.shape == (replicas, 2, n)
+            for r in range(replicas):
+                solo = simulate(g, marks, model, 0.1, 1, dt=0.1, streams=2 * r)
+                assert np.array_equal(block[r], solo.paths[:, :, 0])
+        prof = covariance_decay_profile(g, marks, model, [([0], [n - 1], 0)], _mark_final, 0.1, 100,
+                                        seed=1, dt=0.1)
+        assert prof.estimates.shape == (1,) and np.isfinite(prof.estimates[0])
+        for horizon in (0.0, 0.05):
+            with pytest.raises(ValueError, match="horizon >= dt"):
+                simulate(g, marks, model, horizon, 1, dt=0.1)
 
 
 class TestCoupledTriple:
@@ -354,15 +485,18 @@ class TestEngineBoundary:
     def test_rounding_noise_in_the_ratio_is_accepted(self, horizon, dt, steps):
         assert dynamics._step_count(horizon, dt) == steps
 
-    @pytest.mark.parametrize("force_scalar", [False, True])
+    @pytest.mark.parametrize("scalar", [False, True])
     @pytest.mark.parametrize("bad", [2, -1])
-    def test_marks_outside_the_alphabet_raise_on_both_paths(self, force_scalar, bad):
+    def test_marks_outside_the_alphabet_raise_on_both_paths(self, scalar, bad):
         # the voter batch path used to die in a reshape; the scalar path accepted them
         g = gen_lattice_box(1, 4).graph
         marks = np.zeros(g.vertex_count, dtype=np.int64)
         marks[3] = bad
+        model = builtin_model("voter")
+        if scalar:
+            model = dataclasses.replace(model, batch_step=None)
         with pytest.raises(ValueError, match="alphabet|lie in"):
-            simulate_discrete(g, marks, builtin_model("voter"), 3, seed=1, force_scalar=force_scalar)
+            simulate_discrete(g, marks, model, 3, seed=1)
 
     def test_replica_marks_outside_the_alphabet_raise(self):
         g = gen_lattice_box(1, 4).graph
@@ -372,6 +506,6 @@ class TestEngineBoundary:
             replica_paths_discrete(g, marks, builtin_model("voter"), 3, seed=1, replicas=2, record=[0])
 
     def test_float_marks_are_not_symbols(self):
-        model = builtin_model("noisy_majority", epsilon=0.0)
-        ts = simulate_discrete(TRIANGLE, np.array([0.0, 1.0, 1.0]), model, 2, seed=1, force_scalar=True)
+        model = dataclasses.replace(builtin_model("noisy_majority", epsilon=0.0), batch_step=None)
+        ts = simulate_discrete(TRIANGLE, np.array([0.0, 1.0, 1.0]), model, 2, seed=1)
         assert ts.paths.dtype == np.float64

@@ -4,8 +4,11 @@ Every seeded output is a pure function of its arguments, so a refactor of the
 graph storage, the samplers or the traversals must reproduce these sha256
 digests bit for bit.  The digests cover dtype, shape and raw bytes of each
 array.  To add a case, compute its digest on the commit before the change.
+The dynamics cases pin both the vectorised rules and the scalar per-vertex
+rules (reached by dropping ``batch_step`` or ``batch_drift``).
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -80,6 +83,80 @@ def _traversals():
                    np.array(graphs.largest_component(g).origin, dtype=np.int64))
 
 
+def _box_noise(n):
+    # non-default streams and a permuted noise index
+    return np.arange(n) % 3, np.random.default_rng(12).permutation(n)
+
+
+def _sim_discrete(model, scalar=False):
+    g = graphs.gen_lattice_box(2, 4).graph
+    marks = np.random.default_rng(13).integers(0, model.alphabet_size, g.vertex_count)
+    if scalar:
+        model = dataclasses.replace(model, batch_step=None)
+    streams, noise = _box_noise(g.vertex_count)
+    ts = dynamics.simulate_discrete(g, marks, model, 6, 31, streams=streams, noise_index=noise)
+    return _digest(ts.paths, ts.times)
+
+
+def _sim_diffusion(model, scalar=False):
+    g = graphs.gen_configuration_model(_poisson_degrees(120, 14), 14)
+    shape = (g.vertex_count, model.dim) if model.dim > 1 else (g.vertex_count,)
+    marks = np.random.default_rng(15).uniform(-1.0, 1.0, shape)
+    if scalar:
+        model = dataclasses.replace(model, batch_drift=None)
+    streams, noise = _box_noise(g.vertex_count)
+    ts = dynamics.simulate_diffusion(g, marks, model, 0.5, 0.05, 32, streams=streams, noise_index=noise)
+    return _digest(ts.paths, ts.times)
+
+
+def _replicas_discrete():
+    g = graphs.gen_random_regular(100, 3, 16)
+    marks = np.random.default_rng(17).integers(0, 2, 100)
+    record = [0, 5, 17, 50, 99]
+    return _digest(*(dynamics.replica_paths_discrete(g, marks, m, 5, 33, 7, record, replica_offset=3)
+                     for m in (dynamics.voter_model(2), dynamics.noisy_majority_model(0.2))))
+
+
+def _replicas_diffusion():
+    g = graphs.gen_random_regular(100, 3, 18)
+    marks = np.random.default_rng(19).uniform(-1.0, 1.0, 100)
+    record = [0, 5, 17, 50, 99]
+    return _digest(*(dynamics.replica_paths_diffusion(g, marks, m, 0.6, 0.1, 34, 7, record, replica_offset=2)
+                     for m in (dynamics.consensus_sde_model(0.5), dynamics.kuramoto_model(1.0, 0.5))))
+
+
+def _coupled(model, marks, **kwargs):
+    g = graphs.gen_lattice_box(1, 8).graph
+    return _digest(*(ts.paths for ts in dynamics.coupled_triple(g, marks, [0], [16], model, **kwargs)))
+
+
+def _decay(model, horizon, f, **kwargs):
+    g = graphs.gen_random_regular(100, 3, 20)
+    dist = dynamics.distances_to(g, [0])
+    pairs = [([0], [int(np.flatnonzero(dist == d)[0])], d) for d in (1, 2, 3)]
+    marks = (np.random.default_rng(21).integers(0, 2, 100) if isinstance(model, dynamics.DiscreteModel)
+             else np.random.default_rng(21).uniform(-np.pi, np.pi, 100))
+    p = dynamics.covariance_decay_profile(g, marks, model, pairs, f, horizon, 120, 35, **kwargs)
+    return _digest(p.distances, p.estimates, p.ci_half_widths)
+
+
+def _component_functional():
+    sampler = lambda key: graphs.gen_erdos_renyi(30, 1.5 / 30, key)
+    discrete = empirical.component_functional_distribution(
+        sampler, empirical.bernoulli_init(0.5), dynamics.voter_model(2), lambda p: p[-1], 3, 100, 36)
+    diffusion = empirical.component_functional_distribution(
+        sampler, empirical.uniform_box_init(-1.0, 1.0), dynamics.consensus_sde_model(0.5),
+        lambda p: p[-1, :, 0], 0.4, 100, 37, dt=0.1)
+    return _digest(discrete, diffusion)
+
+
+def _root_law_diffusion():
+    m = empirical.root_law_monte_carlo(
+        empirical.ugw_forest_sampler(RHO, 3), empirical.uniform_box_init(-np.pi, np.pi),
+        dynamics.kuramoto_model(1.0, 0.5), 0.5, 200, 38, dt=0.1, batch_size=70)
+    return _digest(m.samples, m.times)
+
+
 CASES = {
     "erdos_renyi": lambda: _edges(graphs.gen_erdos_renyi(300, 0.02, 1)),
     "erdos_renyi_complete": lambda: _edges(graphs.gen_erdos_renyi(9, 1.0, 1)),
@@ -100,14 +177,38 @@ CASES = {
     "neighborhood_histogram": lambda: _histogram(
         graphs.gen_configuration_model(_poisson_degrees(300, 9), 9), 2),
     "traversals": _traversals,
+    "simulate_voter": lambda: _sim_discrete(dynamics.voter_model(3)),
+    "simulate_voter_scalar": lambda: _sim_discrete(dynamics.voter_model(3), scalar=True),
+    "simulate_majority": lambda: _sim_discrete(dynamics.noisy_majority_model(0.2)),
+    "simulate_majority_scalar": lambda: _sim_discrete(dynamics.noisy_majority_model(0.2), scalar=True),
+    "simulate_consensus_d2": lambda: _sim_diffusion(dynamics.consensus_sde_model(0.5, dim=2)),
+    "simulate_consensus_d2_scalar": lambda: _sim_diffusion(dynamics.consensus_sde_model(0.5, dim=2), scalar=True),
+    "simulate_kuramoto": lambda: _sim_diffusion(dynamics.kuramoto_model(1.0, 0.5)),
+    "simulate_kuramoto_scalar": lambda: _sim_diffusion(dynamics.kuramoto_model(1.0, 0.5), scalar=True),
+    "replica_paths_discrete": _replicas_discrete,
+    "replica_paths_diffusion": _replicas_diffusion,
+    "coupled_triple_discrete": lambda: _coupled(
+        dynamics.voter_model(2), np.arange(17) % 2, horizon=4, seed=39),
+    "coupled_triple_diffusion": lambda: _coupled(
+        dynamics.consensus_sde_model(0.5), np.linspace(-1.0, 1.0, 17), horizon=0.5, seed=40, dt=0.1),
+    "decay_discrete": lambda: _decay(dynamics.noisy_majority_model(0.1), 4, lambda b: float(b[-1].mean())),
+    "decay_diffusion": lambda: _decay(
+        dynamics.kuramoto_model(1.0, 0.5), 0.5, lambda b: float(np.cos(b[-1]).mean()), dt=0.1),
+    "component_functional": _component_functional,
+    "root_law_diffusion": _root_law_diffusion,
 }
 
 GOLDEN = {
     "ball": "7c8dcf1f51968744a299bc011894f7bfe3640939b64304f24d4f0cff4831e78f",
     "canopy": "16631a2fea18fed62544d4b807a394f0613bccb360c2aa374afd8b15fa163300",
     "canopy_component": "aad60c4edd594cace5f5da712a73b372a0b2c0ef40abc391455ebc7538ccdb71",
+    "component_functional": "b79bf8ddc7c55fd1e9697793240241684fafd0bc9606411aecd9e9c3e6e8173a",
     "configuration": "72c08611d9b6f57981386155c28b82af087699b678e75fb60df07e43692c4168",
     "configuration_erased": "dc999f25767c6ef7f5ba04ef7be7bf1ec205879ebd002f168837e7f9c6a64d09",
+    "coupled_triple_diffusion": "0e71b5d8a717ce18547889cf8a8269f32fe01441f96e4e9ab078fef769028d08",
+    "coupled_triple_discrete": "a97118c908f3d5424ed60917063fa2d133245b0841b7f0ce970c28002284f920",
+    "decay_diffusion": "63ea8ef0dfc8913be8cbe12b0184789f5885357fff1f1b8d25d3b8e83ade0d12",
+    "decay_discrete": "9a00473f71b94cb1325cd07e97b59acf7f634b9c5d09a277a2864f8faa7cb75f",
     "erdos_renyi": "074cd047612e2d9ff0c4f25e167408b9f08b543de2d4c672834463c9b4ea68e7",
     "erdos_renyi_complete": "d4a36c9a1c4542a41c6970929b1e5a6de1f05ec44ce0a7984d7cdaafaceb3d4b",
     "fixed_graph_sampler": "9e464a7c8a575583fccbfc0c41600ee03183c9935ff832ef83dd519881063958",
@@ -117,9 +218,20 @@ GOLDEN = {
     "neighborhood_histogram": "f612c22848c80d356d9250d9798d28e43fb1ed603e1b7e17219b96f7b9b1eb89",
     "random_regular": "49fbb1417f36d1eae10477364bac92d58c9c52d025ad6efc6947d68a15973f6c",
     "regular_tree": "f77ca33399961bb46e99aea994282d65791d54bf0b02ba469359496e7f5d661b",
+    "replica_paths_diffusion": "66af0bd6efe4cdd233009d94710ffac5bf23f03a48f0f16ed0f7e083acdb8182",
+    "replica_paths_discrete": "73cc037abe66b209c5fcfff165e935371f128dda3b1db04b3d97016a9e00aa65",
+    "root_law_diffusion": "357d9838b72cffbb76cc35a30ce5118ad1f88dd94600eff100e5004b8faa2e77",
     "root_law_monte_carlo": "fc2d660205299738de91ca4958682b15c57d484883859d052b6d14697c447f1e",
     "sample_forest": "c28c82ee83947009d332c7fc8ed20c0d0df73e01660af3e04363d9154caeb24e",
     "sample_forest_truncated": "52d169bcdd5dc2a0597675c568b309da34c7e16e4469560937e96a28416677e5",
+    "simulate_consensus_d2": "e4d01dd46d65c69424296278491016dd6b5d96a89696e5807713f7dc0b46eb9f",
+    "simulate_consensus_d2_scalar": "40ca8bcf2a3effc17ce53d8548596a427756bcb1aed85fe695670703eb56caf3",
+    "simulate_kuramoto": "4b73172342141eea623cab5a779838f07ec835b9109df95079a9795eb2025c1b",
+    "simulate_kuramoto_scalar": "f3763410a72f04908af3c74c64ecef99e26dd2370aa091470989b8d5632e8927",
+    "simulate_majority": "e0df9bcd11958bef2f83d40f5912533987fe5b33cc226755d6deb5aaba71bfea",
+    "simulate_majority_scalar": "e0df9bcd11958bef2f83d40f5912533987fe5b33cc226755d6deb5aaba71bfea",
+    "simulate_voter": "213027166df4cc68e1d79794b1850acabebc880fc93ed3e5a9b75a097af3acd9",
+    "simulate_voter_scalar": "213027166df4cc68e1d79794b1850acabebc880fc93ed3e5a9b75a097af3acd9",
     "traversals": "dd3f6fef8c05e4a3740e2dd92e016ada40c2ef3e281cae218d53da499da74d1e",
 }
 

@@ -356,6 +356,15 @@ class TestInvariantsAndSerialization:
 
 SEEDS = st.integers(0, 2**32 - 1)
 
+# adjacency sequences that break one invariant each, with the word naming it
+BROKEN_ADJACENCY = [
+    (((1,), ()), "symmetric"),
+    (((1, 2), (0,), (0,), (3,)), "self-loop"),
+    (((2, 1), (0,), (0,)), "sorted"),
+    (((1, 1), (0, 0)), "sorted"),
+    (((5,), (0,)), "range"),
+]
+
 
 @st.composite
 def _degree_sequences(draw):
@@ -489,16 +498,19 @@ class TestCsrStorage:
             with pytest.raises(ValueError):
                 arr[0] = 1
 
-    @pytest.mark.parametrize("adjacency, message", [
-        (((1,), ()), "symmetric"),
-        (((1, 2), (0,), (0,), (3,)), "self-loop"),
-        (((2, 1), (0,), (0,)), "sorted"),
-        (((1, 1), (0, 0)), "sorted"),
-        (((5,), (0,)), "range"),
-    ])
+    @pytest.mark.parametrize("adjacency, message", BROKEN_ADJACENCY)
     def test_validate_rejects_broken_storage(self, adjacency, message):
+        indptr = np.cumsum([0, *map(len, adjacency)])
+        indices = np.array([v for row in adjacency for v in row], dtype=np.int64)
         with pytest.raises(AssertionError, match=message):
-            Graph(adjacency).validate()
+            graphs._from_csr(indptr, indices).validate()
+
+    @pytest.mark.parametrize("adjacency, message", BROKEN_ADJACENCY)
+    def test_constructor_rejects_broken_adjacency(self, adjacency, message):
+        # Graph(((1,), ())) used to run voter as a directed graph, and
+        # Graph(((5,), (0,))) to fail later with an IndexError
+        with pytest.raises(ValueError, match=message):
+            Graph(adjacency)
 
     def test_empty_and_edgeless(self):
         for g in (Graph(()), Graph(((), (), ())), gen_gnm(4, 0, seed=1)):
