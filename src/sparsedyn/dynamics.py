@@ -153,6 +153,8 @@ def _resolve_graph(g, marks) -> tuple[Graph, np.ndarray | None]:
     """The plain graph of ``g``, and ``marks`` or else the marks ``g`` carries."""
     if isinstance(g, MarkedGraph):
         return g.graph, np.asarray(g.marks) if marks is None else marks
+    if marks is None:
+        raise ValueError("marks are required unless g is a MarkedGraph")
     return (g.graph if isinstance(g, RootedGraph) else g), marks
 
 
@@ -181,6 +183,14 @@ def _check_marks(marks: np.ndarray, model: DiscreteModel) -> None:
         marks.min() < 0 or marks.max() >= model.alphabet_size
     ):
         raise ValueError(f"integer marks must lie in [0, {model.alphabet_size}) for {model.name}")
+
+
+def _vertex_indices(vertices, n: int) -> np.ndarray:
+    """``vertices`` as an int64 array; each must index a vertex of an n-vertex graph."""
+    arr = np.asarray(vertices, dtype=np.int64)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise ValueError(f"vertex index out of range [0, {n})")
+    return arr
 
 
 def _per_vertex(value, n: int) -> np.ndarray:
@@ -500,11 +510,9 @@ def distances_to(g: Graph, region) -> np.ndarray:
 
     Vertices the region cannot reach get ``iinfo(int64).max``.
     """
-    region = np.array([int(v) for v in region], dtype=np.int64)
+    region = _vertex_indices([int(v) for v in region], g.vertex_count)
     if not region.size:
         raise ValueError("region must be nonempty")
-    if region.min() < 0 or region.max() >= g.vertex_count:
-        raise ValueError("region vertex out of range")
     found = csgraph.dijkstra(g.matrix, directed=False, indices=region, unweighted=True, min_only=True)
     dist = np.full(g.vertex_count, np.iinfo(np.int64).max, dtype=np.int64)
     reached = np.isfinite(found)
@@ -576,7 +584,7 @@ def replica_paths_discrete(
     k_max = _whole_steps(k_max)
     marks = np.asarray(marks, dtype=np.int64)
     _check_marks(marks, model)
-    record = np.asarray(record, dtype=np.int64)
+    record = _vertex_indices(record, graph.vertex_count)
     x0 = np.tile(marks, (replicas, 1))
     key = rng.stream_key(seed, _DISC_TAG)
     noise = _replica_noise(graph.vertex_count, replicas, replica_offset)
@@ -605,7 +613,7 @@ def replica_paths_diffusion(
         raise ValueError("replica paths need a dim-1 model")
     steps = _step_count(horizon, dt)
     n = graph.vertex_count
-    record = np.asarray(record, dtype=np.int64)
+    record = _vertex_indices(record, graph.vertex_count)
     x0 = np.tile(np.asarray(marks, dtype=np.float64).reshape(n, 1), (replicas, 1, 1))
     key = rng.stream_key(seed, _DIFF_TAG)
     noise = _replica_noise(n, replicas, replica_offset)
@@ -635,6 +643,7 @@ def covariance_decay_profile(
     if replicas < 100:
         raise ValueError("replicas must be >= 100")
     graph, marks = _resolve_graph(g, marks)
+    # range-checked by the replica engine, which records these vertices
     needed = sorted({int(v) for a, b, _ in pairs for v in (*a, *b)})
     pos = {v: i for i, v in enumerate(needed)}
     steps, _, replica_paths = _dispatch(model, horizon, dt)

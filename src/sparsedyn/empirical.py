@@ -85,21 +85,13 @@ def component_empirical(ts: TrajectorySet, comp: RootedGraph) -> EmpiricalMeasur
     return EmpiricalMeasure(np.moveaxis(ts.paths[:, idx], 0, 1), ts.times, ts.kind)
 
 
-def _discrete_counter(m: EmpiricalMeasure) -> Counter:
-    arr = np.ascontiguousarray(m.samples.astype(np.int64))
-    return Counter(row.tobytes() for row in arr)
-
-
 def tv_discrete(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """Exact total variation between two finite-alphabet trajectory measures."""
     if a.kind != "discrete" or b.kind != "discrete":
         raise ValueError("tv_discrete needs finite-alphabet trajectories")
     if len(a.times) != len(b.times) or not np.array_equal(a.times, b.times):
         raise ValueError("time grids differ")
-    na, nb = a.count, b.count
-    fa = {k: c / na for k, c in _discrete_counter(a).items()}
-    fb = {k: c / nb for k, c in _discrete_counter(b).items()}
-    return frequency_tv(fa, fb)
+    return frequency_tv(trajectory_frequencies(a), trajectory_frequencies(b))
 
 
 def trajectory_frequencies(m: EmpiricalMeasure, weights=None) -> dict[bytes, float]:
@@ -107,18 +99,14 @@ def trajectory_frequencies(m: EmpiricalMeasure, weights=None) -> dict[bytes, flo
     if m.kind != "discrete":
         raise ValueError("trajectory_frequencies needs finite-alphabet trajectories")
     arr = np.ascontiguousarray(m.samples.astype(np.int64))
-    out: dict[bytes, float] = {}
     if weights is None:
-        w = 1.0 / len(arr)
-        for row in arr:
-            key = row.tobytes()
-            out[key] = out.get(key, 0.0) + w
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        total = float(weights.sum())
-        for row, wv in zip(arr, weights):
-            key = row.tobytes()
-            out[key] = out.get(key, 0.0) + float(wv) / total
+        return {key: c / len(arr) for key, c in Counter(row.tobytes() for row in arr).items()}
+    weights = np.asarray(weights, dtype=np.float64)
+    total = float(weights.sum())
+    out: dict[bytes, float] = {}
+    for row, wv in zip(arr, weights):
+        key = row.tobytes()
+        out[key] = out.get(key, 0.0) + float(wv) / total
     return out
 
 

@@ -221,16 +221,6 @@ def conditional_kernel(
     return ExactGibbs(configs, weights / z, math.log(z) + float(peak), a)
 
 
-def _site_conditional(
-    state: np.ndarray, v: int, neighbors, spec: GibbsSpec
-) -> np.ndarray:
-    """Single-site conditional probabilities given the current neighbor symbols."""
-    weights = spec.lam.copy()
-    for u in neighbors:
-        weights = weights * spec.psi[:, state[u]]
-    return weights / weights.sum()
-
-
 def iid_sample(g: Graph, lam, seed: int) -> np.ndarray:
     """Each vertex drawn independently from the reference law."""
     lam = np.asarray(lam, dtype=np.float64)

@@ -3,6 +3,8 @@
 Canonical codes realize isomorphism classes of rooted graphs: trees of any
 size get an AHU-style code, general graphs up to a small size cap get a
 minimal root-preserving adjacency encoding found by pruned backtracking.
+Every rooted graph and every radius-r ball is coded by ``_ball_code_from``,
+from one walk of the ball (``_ball``).
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from . import rng
 from .empirical import frequency_tv
-from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, ball
+from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, _induced_rooted
 
 GENERAL_CODE_CAP = 64
 MARKED_ENUM_CAP = 12
@@ -27,20 +31,45 @@ class CodeSizeError(ValueError):
     """General-graph canonical encoding requested above the supported size."""
 
 
-def _is_tree(g: Graph) -> bool:
-    return g.edge_count == g.vertex_count - 1
+def _ball(g: Graph, v: int, r: int | None) -> tuple[list[int], list[list[int]], list[bytes] | None]:
+    """The radius-r ball around ``v`` (v's whole component when ``r`` is None).
+
+    Returns the ball's BFS order, the children of each vertex in it (its
+    neighbors one level further out, as positions in that order) and, when
+    the ball is a tree, the AHU code of the subtree below each position
+    (sorted child codes in parentheses); ``None`` when it has a cycle.  A
+    ball is a tree iff it holds 2(n - 1) adjacency entries.
+    """
+    order, dist = _bfs(g, v, max_depth=r)
+    pos = {u: i for i, u in enumerate(order)}
+    ptr, idx = g.csr_lists
+    kids: list[list[int]] = []
+    entries = 0
+    for u in order:
+        d = dist[u] + 1
+        ks = []
+        for w in idx[ptr[u] : ptr[u + 1]]:
+            dw = dist.get(w)
+            if dw is not None:
+                entries += 1
+                if dw == d:
+                    ks.append(pos[w])
+        kids.append(ks)
+    n = len(order)
+    if entries != 2 * (n - 1):
+        return order, kids, None
+    codes = [b""] * n
+    for i in range(n - 1, -1, -1):
+        codes[i] = b"(" + b"".join(sorted([codes[j] for j in kids[i]])) + b")"
+    return order, kids, codes
 
 
-def _tree_code(rg: RootedGraph) -> bytes:
-    """AHU code: sorted recursive subtree codes, iterative over reverse BFS order."""
-    g = rg.graph
-    order, dist = _bfs(g, rg.root)
-    codes: dict[int, bytes] = {}
-    for v in reversed(order):
-        dv = dist[v]
-        children = sorted(codes[u] for u in g.adjacency[v] if dist[u] == dv + 1)
-        codes[v] = b"(" + b"".join(children) + b")"
-    return codes[rg.root]
+def _ball_code_from(g: Graph, v: int, r: int | None) -> BallCode:
+    """Canonical code of the radius-r ball around ``v`` (r=None: v's component)."""
+    order, _, codes = _ball(g, v, r)
+    if codes is not None:
+        return codes[0]
+    return _general_code(_induced_rooted(g, order, v))
 
 
 def _swap_is_automorphism(adj: list[set[int]], u: int, w: int) -> bool:
@@ -109,9 +138,7 @@ def _general_code(rg: RootedGraph) -> bytes:
 
 def canonical_code(rg: RootedGraph) -> BallCode:
     """Byte string equal for two rooted graphs iff they are rooted-isomorphic."""
-    if _is_tree(rg.graph):
-        return _tree_code(rg)
-    return _general_code(rg)
+    return _ball_code_from(rg.graph, rg.root, None)
 
 
 def rooted_isomorphic(a: RootedGraph, b: RootedGraph) -> bool:
@@ -130,7 +157,7 @@ def _iter_isomorphisms(a: RootedGraph, b: RootedGraph) -> Iterator[dict[int, int
     n = ga.vertex_count
     if n != gb.vertex_count or ga.edge_count != gb.edge_count:
         return
-    if n > MARKED_ENUM_CAP and not _is_tree(ga):
+    if n > MARKED_ENUM_CAP:
         raise CodeSizeError(f"isomorphism enumeration supports <= {MARKED_ENUM_CAP} vertices")
     order_a, dist_a = _bfs(ga, a.root)
     _, dist_b = _bfs(gb, b.root)
@@ -191,88 +218,51 @@ def d_star_unmarked(a: RootedGraph, b: RootedGraph, k_max: int) -> Interval:
         raise ValueError("k_max must be >= 1")
     lower = 0.0
     for k in range(1, k_max + 1):
-        if canonical_code(ball(a, k)) != canonical_code(ball(b, k)):
+        if _ball_code_from(a.graph, a.root, k) != _ball_code_from(b.graph, b.root, k):
             lower += 2.0**-k
     return Interval(lower, lower + 2.0**-k_max)
 
 
-def _marks_of(mg: MarkedGraph, sub: RootedGraph):
-    marks = np.asarray(mg.marks)
-    return marks[np.asarray(sub.origin, dtype=np.int64)]
+def _bottleneck(cost: np.ndarray) -> float:
+    """Min over perfect matchings of the max entry of a square cost matrix."""
+    values = np.unique(cost)
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        match = csgraph.maximum_bipartite_matching(sparse.csr_matrix(cost <= values[mid]))
+        if np.all(match >= 0):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(values[lo])
 
 
-def _tree_minmax_mark(a: RootedGraph, marks_a, b: RootedGraph, marks_b) -> float:
-    """min over shape-preserving isomorphisms of the max mark distance (trees).
+def _tree_minmax_mark(a, b) -> float:
+    """min over shape-preserving isomorphisms of the max mark distance.
 
-    Bottom-up DP: subtrees can only map to subtrees of equal AHU shape, and the
-    min-max over children decomposes into a bottleneck matching per shape group.
+    ``a`` and ``b`` are tree balls as ``(children, AHU codes, marks)`` by BFS
+    position.  Bottom-up DP: subtrees can only map to subtrees of equal AHU
+    shape, and the min-max over children decomposes into a bottleneck
+    matching per shape group.
     """
-    ga, gb = a.graph, b.graph
-    order_a, dist_a = _bfs(ga, a.root)
-    order_b, dist_b = _bfs(gb, b.root)
-    shape_a: dict[int, bytes] = {}
-    shape_b: dict[int, bytes] = {}
-    for g, order, dist, shape in ((ga, order_a, dist_a, shape_a), (gb, order_b, dist_b, shape_b)):
-        for v in reversed(order):
-            children = sorted(shape[u] for u in g.adjacency[v] if dist[u] == dist[v] + 1)
-            shape[v] = b"(" + b"".join(children) + b")"
-    if shape_a[a.root] != shape_b[b.root]:
+    (kids_a, shape_a, marks_a), (kids_b, shape_b, marks_b) = a, b
+    if shape_a[0] != shape_b[0]:
         return float("inf")
 
-    def bottleneck(cost: np.ndarray) -> float:
-        """Min over perfect matchings of the max entry (square matrix)."""
-        m = cost.shape[0]
-        values = np.unique(cost)
-
-        def feasible(t: float) -> bool:
-            allowed = cost <= t
-            match = [-1] * m
-
-            def augment(r: int, seen: list[bool]) -> bool:
-                for c in range(m):
-                    if allowed[r, c] and not seen[c]:
-                        seen[c] = True
-                        if match[c] < 0 or augment(match[c], seen):
-                            match[c] = r
-                            return True
-                return False
-
-            return all(augment(r, [False] * m) for r in range(m))
-
-        lo_idx, hi_idx = 0, len(values) - 1
-        while lo_idx < hi_idx:
-            mid = (lo_idx + hi_idx) // 2
-            if feasible(values[mid]):
-                hi_idx = mid
-            else:
-                lo_idx = mid + 1
-        return float(values[lo_idx])
-
-    memo: dict[tuple[int, int], float] = {}
-
     def solve(u: int, v: int) -> float:
-        key = (u, v)
-        if key in memo:
-            return memo[key]
-        base = mark_distance(marks_a[u], marks_b[v])
-        kids_a = [w for w in ga.adjacency[u] if dist_a[w] == dist_a[u] + 1]
-        kids_b = [w for w in gb.adjacency[v] if dist_b[w] == dist_b[v] + 1]
         groups: dict[bytes, tuple[list[int], list[int]]] = {}
-        for w in kids_a:
+        for w in kids_a[u]:
             groups.setdefault(shape_a[w], ([], []))[0].append(w)
-        for w in kids_b:
-            groups.setdefault(shape_b[w], ([], []))[1].append(w)
-        value = base
+        for w in kids_b[v]:
+            groups[shape_b[w]][1].append(w)
+        # equal shapes have equal multisets of child shapes
+        value = mark_distance(marks_a[u], marks_b[v])
         for ka, kb in groups.values():
-            if len(ka) != len(kb):
-                value = float("inf")
-                break
             cost = np.array([[solve(x, y) for y in kb] for x in ka], dtype=np.float64)
-            value = max(value, bottleneck(cost))
-        memo[key] = value
+            value = max(value, _bottleneck(cost))
         return value
 
-    return solve(a.root, b.root)
+    return solve(0, 0)
 
 
 def _general_minmax_mark(a: RootedGraph, marks_a, b: RootedGraph, marks_b) -> float:
@@ -299,15 +289,18 @@ def d_star_marked(a: MarkedGraph, b: MarkedGraph, k_max: int) -> Interval:
         raise ValueError("k_max must be >= 1")
     lower = 0.0
     for k in range(1, k_max + 1):
-        ball_a, ball_b = ball(a.rooted, k), ball(b.rooted, k)
-        if canonical_code(ball_a) != canonical_code(ball_b):
-            lower += 2.0**-k
-            continue
-        marks_a, marks_b = _marks_of(a, ball_a), _marks_of(b, ball_b)
-        if _is_tree(ball_a.graph):
-            m_k = _tree_minmax_mark(ball_a, marks_a, ball_b, marks_b)
+        (order_a, kids_a, shape_a), (order_b, kids_b, shape_b) = (
+            _ball(a.graph, a.rooted.root, k), _ball(b.graph, b.rooted.root, k))
+        marks_a, marks_b = np.asarray(a.marks)[order_a], np.asarray(b.marks)[order_b]
+        if shape_a is not None and shape_b is not None:
+            m_k = _tree_minmax_mark((kids_a, shape_a, marks_a), (kids_b, shape_b, marks_b))
+        elif shape_a is None and shape_b is None:
+            ball_a = _induced_rooted(a.graph, order_a, a.rooted.root)
+            ball_b = _induced_rooted(b.graph, order_b, b.rooted.root)
+            same = _general_code(ball_a) == _general_code(ball_b)
+            m_k = _general_minmax_mark(ball_a, marks_a, ball_b, marks_b) if same else float("inf")
         else:
-            m_k = _general_minmax_mark(ball_a, marks_a, ball_b, marks_b)
+            m_k = float("inf")
         lower += 2.0**-k * min(1.0, m_k)
     return Interval(lower, lower + 2.0**-k_max)
 
@@ -342,33 +335,6 @@ class BallHistogram:
                 code_hex, count = line.strip().split(",")
                 counts[bytes.fromhex(code_hex)] = int(count)
         return BallHistogram(counts, radius, sum(counts.values()))
-
-
-def _ball_code_from(g: Graph, v: int, r: int) -> BallCode:
-    order, dist = _bfs(g, v, max_depth=r)
-    local = {u: i for i, u in enumerate(order)}
-    edges = []
-    for u in order:
-        for w in g.adjacency[u]:
-            iw = local.get(w)
-            if iw is not None and local[u] < iw:
-                edges.append((local[u], iw))
-    n = len(order)
-    if len(edges) == n - 1:
-        # tree ball: AHU without building a Graph
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for iu, iw in edges:
-            du, dw = dist[order[iu]], dist[order[iw]]
-            if du < dw:
-                kids[iu].append(iw)
-            else:
-                kids[iw].append(iu)
-        codes: list[bytes] = [b""] * n
-        for i in range(n - 1, -1, -1):
-            codes[i] = b"(" + b"".join(sorted(codes[j] for j in kids[i])) + b")"
-        return codes[0]
-    sub = Graph.from_edges(n, edges)
-    return _general_code(RootedGraph(sub, 0))
 
 
 def neighborhood_histogram(g: Graph, r: int) -> BallHistogram:

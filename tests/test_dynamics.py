@@ -509,3 +509,27 @@ class TestEngineBoundary:
         model = dataclasses.replace(builtin_model("noisy_majority", epsilon=0.0), batch_step=None)
         ts = simulate_discrete(TRIANGLE, np.array([0.0, 1.0, 1.0]), model, 2, seed=1)
         assert ts.paths.dtype == np.float64
+
+    @pytest.mark.parametrize("bad", [-1, -2, 3, 5])
+    @pytest.mark.parametrize("entry", ["replica_discrete", "replica_diffusion", "decay_pair"])
+    def test_vertex_indices_out_of_range_raise(self, entry, bad):
+        # -1 used to record vertex 2 of this 3-vertex graph; 5 died late with a bare IndexError
+        g = Graph.from_edges(3, [(0, 1)])
+        voter, sde = builtin_model("voter"), builtin_model("consensus_sde", sigma0=0.5)
+        calls = {
+            "replica_discrete": lambda: replica_paths_discrete(g, [0, 1, 1], voter, 2, 1, 2, [bad]),
+            "replica_diffusion": lambda: replica_paths_diffusion(g, [0.0, 1.0, 1.0], sde, 0.2, 0.1, 1, 2,
+                                                                 [0, bad]),
+            "decay_pair": lambda: covariance_decay_profile(g, [0, 1, 1], voter, [([bad], [0], 1)],
+                                                           lambda p: 0.0, 2, 100, 1),
+        }
+        with pytest.raises(ValueError, match=r"vertex index out of range \[0, 3\)"):
+            calls[entry]()
+
+    def test_marks_are_required_on_a_plain_graph(self):
+        # used to die with IndexError: tuple index out of range
+        for run in (lambda: simulate_discrete(TRIANGLE, None, builtin_model("voter"), 2, seed=1),
+                    lambda: simulate(TRIANGLE, None, builtin_model("voter"), 2, 1),
+                    lambda: simulate(TRIANGLE, None, builtin_model("consensus_sde"), 0.2, 1, dt=0.1)):
+            with pytest.raises(ValueError, match="marks are required"):
+                run()

@@ -18,11 +18,14 @@ from sparsedyn.empirical import (
     constant_init,
     ergodicity_variance_curve,
     fixed_graph_sampler,
+    frequency_tv,
     giant_fraction,
     global_empirical,
     gw_forest_sampler,
+    mix_frequencies,
     root_law_monte_carlo,
     shift_average,
+    trajectory_frequencies,
     tv_discrete,
     ugw_forest_sampler,
     wasserstein1_paths,
@@ -122,6 +125,52 @@ class TestTvDiscrete:
         b = measure_from([[0, 1, 1]])
         with pytest.raises(ValueError):
             tv_discrete(a, b)
+
+
+
+class TestTrajectoryFrequencies:
+    def test_unweighted_counts_over_the_sample_count(self):
+        # ten equal rows used to sum ten 0.1 steps to 0.9999999999999999
+        assert trajectory_frequencies(measure_from([[0, 1]] * 10)) == {np.array([0, 1]).tobytes(): 1.0}
+        f = trajectory_frequencies(measure_from([[0, 1], [1, 1], [0, 1]]))
+        assert f == {np.array([0, 1]).tobytes(): 2 / 3, np.array([1, 1]).tobytes(): 1 / 3}
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_sums_to_one_and_agrees_with_tv(self, weighted):
+        gen = np.random.default_rng(3)
+        a = measure_from(gen.integers(0, 2, (60, 3)))
+        b = measure_from(gen.integers(0, 2, (45, 3)))
+        # constant weights are the unweighted law up to rounding
+        wa, wb = (np.full(60, 2.5), np.full(45, 0.5)) if weighted else (None, None)
+        fa, fb = trajectory_frequencies(a, wa), trajectory_frequencies(b, wb)
+        assert math.fsum(fa.values()) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(fb.values()) == pytest.approx(1.0, abs=1e-12)
+        assert frequency_tv(fa, fb) == pytest.approx(tv_discrete(a, b), abs=1e-12)
+        if not weighted:
+            assert frequency_tv(fa, fb) == tv_discrete(a, b)
+
+    def test_weights_shift_the_law(self):
+        m = measure_from([[0, 0], [1, 1], [1, 1]])
+        f = trajectory_frequencies(m, [2.0, 1.0, 1.0])
+        assert f == {np.array([0, 0]).tobytes(): 0.5, np.array([1, 1]).tobytes(): 0.5}
+
+    def test_vector_paths_rejected(self):
+        with pytest.raises(ValueError, match="finite-alphabet"):
+            trajectory_frequencies(measure_from([[0.5, 1.0]], kind="vector"))
+
+
+class TestMixFrequencies:
+    def test_convex_combination(self):
+        mixed = mix_frequencies([(1.0, {b"a": 1.0}), (3.0, {b"a": 0.5, b"b": 0.5})])
+        assert mixed == {b"a": 0.25 + 0.375, b"b": 0.375}
+        assert math.fsum(mixed.values()) == 1.0
+
+    def test_mixing_equal_laws_is_that_law(self):
+        gen = np.random.default_rng(4)
+        f = trajectory_frequencies(measure_from(gen.integers(0, 3, (50, 2))))
+        mixed = mix_frequencies([(0.3, f), (0.7, f)])
+        assert mixed.keys() == f.keys()
+        assert frequency_tv(mixed, f) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestWasserstein:

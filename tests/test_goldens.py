@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from sparsedyn import dynamics, empirical, graphs, localtopo, trees
+from sparsedyn import dynamics, empirical, graphs, localtopo, rng, trees
 
 RHO = trees.poisson_dist(2.0)
 
@@ -157,6 +157,84 @@ def _root_law_diffusion():
     return _digest(m.samples, m.times)
 
 
+def _relabeled(rg, seed):
+    """The same rooted graph with its vertices renumbered by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(rg.vertex_count)
+    g = graphs.Graph.from_edges(rg.vertex_count, perm[rg.graph.edges()])
+    return graphs.RootedGraph(g, int(perm[rg.root])), perm
+
+
+def _code_cases():
+    tree = trees.sample_ugw(RHO, 4, 41)
+    rr_ball = graphs.ball(graphs.component_of(graphs.gen_random_regular(60, 3, 42), 0), 3)
+    cycle = graphs.RootedGraph(graphs.Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]), 2)
+    return [graphs.gen_regular_tree(3, 3), tree, _relabeled(tree, 43)[0],
+            graphs.gen_lattice_box(2, 2), rr_ball, _relabeled(rr_ball, 44)[0], cycle]
+
+
+def _canonical_codes():
+    codes = [localtopo.canonical_code(rg) for rg in _code_cases()]
+    assert codes[1] == codes[2] and codes[4] == codes[5]
+    return _digest(np.frombuffer(b"|".join(codes), dtype=np.uint8))
+
+
+def _d_star_unmarked():
+    cases = _code_cases()
+    pairs = [(cases[0], cases[1]), (cases[1], cases[2]), (cases[1], trees.sample_ugw(RHO, 4, 45)),
+             (cases[3], cases[4]), (cases[4], cases[5]), (cases[0], cases[6]),
+             (cases[0], graphs.gen_regular_tree(3, 2)), (cases[0], cases[4])]
+    values = [localtopo.d_star_unmarked(a, b, 4) for a, b in pairs]
+    return _digest(np.array([[iv.lower, iv.upper] for iv in values]))
+
+
+def _d_star_marked():
+    gen = np.random.default_rng(46)
+    tree = graphs.gen_regular_tree(3, 3)
+    moved, perm = _relabeled(tree, 47)
+    ugw = trees.sample_ugw(RHO, 4, 48)
+    bits = gen.integers(0, 2, ugw.vertex_count)
+    flipped = bits.copy()
+    flipped[-1] ^= 1
+    grid = graphs.gen_lattice_box(2, 1)
+    pairs = [
+        (graphs.MarkedGraph(tree, gen.uniform(0.0, 1.0, tree.vertex_count)),
+         graphs.MarkedGraph(tree, gen.uniform(0.0, 1.0, tree.vertex_count))),
+        (graphs.MarkedGraph(tree, gen.normal(0.0, 0.3, (tree.vertex_count, 2))),
+         graphs.MarkedGraph(tree, gen.normal(0.0, 0.3, (tree.vertex_count, 2)))),
+        (graphs.MarkedGraph(tree, (marks := gen.uniform(0.0, 1.0, tree.vertex_count))),
+         graphs.MarkedGraph(moved, marks[np.argsort(perm)] + gen.normal(0.0, 0.05, tree.vertex_count))),
+        (graphs.MarkedGraph(ugw, bits), graphs.MarkedGraph(ugw, flipped)),
+        (graphs.MarkedGraph(grid, gen.uniform(0.0, 1.0, 9)), graphs.MarkedGraph(grid, gen.uniform(0.0, 1.0, 9))),
+    ]
+    values = [localtopo.d_star_marked(a, b, 4) for a, b in pairs]
+    return _digest(np.array([[iv.lower, iv.upper] for iv in values]))
+
+
+def _limit_histogram():
+    samples = (trees.sample_ugw(RHO, 3, rng.stream_key(49, i)) for i in range(300))
+    h = localtopo.histogram_of_samples(samples, 2)
+    codes = sorted(h.counts)
+    return _digest(np.frombuffer(b"|".join(codes), dtype=np.uint8),
+                   np.array([h.counts[c] for c in codes] + [h.total], dtype=np.int64))
+
+
+def _two_root_gap():
+    sampler = lambda key: graphs.gen_erdos_renyi(200, 2.0 / 200, key)
+    return _digest(np.array([localtopo.two_root_independence_gap(sampler, r, 60, 50) for r in (1, 2)]))
+
+
+def _path_laws():
+    g = graphs.gen_configuration_model(_poisson_degrees(400, 51), 51)
+    init = empirical.bernoulli_init(0.5)
+    law = empirical.global_empirical(dynamics.simulate(g, init(g, 52), dynamics.voter_model(2), 3, 53))
+    root = empirical.root_law_monte_carlo(empirical.ugw_forest_sampler(RHO, 3), init,
+                                          dynamics.voter_model(2), 3, 300, 54)
+    freqs = empirical.trajectory_frequencies(law, np.arange(law.count) % 5 + 1.0)
+    keys = sorted(freqs)
+    return _digest(np.array([empirical.tv_discrete(law, root)]),
+                   np.frombuffer(b"".join(keys), dtype=np.uint8), np.array([freqs[k] for k in keys]))
+
+
 CASES = {
     "erdos_renyi": lambda: _edges(graphs.gen_erdos_renyi(300, 0.02, 1)),
     "erdos_renyi_complete": lambda: _edges(graphs.gen_erdos_renyi(9, 1.0, 1)),
@@ -196,10 +274,17 @@ CASES = {
         dynamics.kuramoto_model(1.0, 0.5), 0.5, lambda b: float(np.cos(b[-1]).mean()), dt=0.1),
     "component_functional": _component_functional,
     "root_law_diffusion": _root_law_diffusion,
+    "canonical_codes": _canonical_codes,
+    "d_star_unmarked": _d_star_unmarked,
+    "d_star_marked": _d_star_marked,
+    "limit_histogram": _limit_histogram,
+    "two_root_gap": _two_root_gap,
+    "path_laws": _path_laws,
 }
 
 GOLDEN = {
     "ball": "7c8dcf1f51968744a299bc011894f7bfe3640939b64304f24d4f0cff4831e78f",
+    "canonical_codes": "df1046f622405acdb8bc60f76bce5a5428a373cc41edcc93507992013777d6ef",
     "canopy": "16631a2fea18fed62544d4b807a394f0613bccb360c2aa374afd8b15fa163300",
     "canopy_component": "aad60c4edd594cace5f5da712a73b372a0b2c0ef40abc391455ebc7538ccdb71",
     "component_functional": "b79bf8ddc7c55fd1e9697793240241684fafd0bc9606411aecd9e9c3e6e8173a",
@@ -207,6 +292,8 @@ GOLDEN = {
     "configuration_erased": "dc999f25767c6ef7f5ba04ef7be7bf1ec205879ebd002f168837e7f9c6a64d09",
     "coupled_triple_diffusion": "0e71b5d8a717ce18547889cf8a8269f32fe01441f96e4e9ab078fef769028d08",
     "coupled_triple_discrete": "a97118c908f3d5424ed60917063fa2d133245b0841b7f0ce970c28002284f920",
+    "d_star_marked": "2f2ba937c44b8ab8d7467151ba4244366a13ae2c3581fdc36e694e7286a1c3ff",
+    "d_star_unmarked": "7a7ed94ca5f4cc44cf73071ff6653680ef7cd383a67e3b2180c675caf00439c9",
     "decay_diffusion": "63ea8ef0dfc8913be8cbe12b0184789f5885357fff1f1b8d25d3b8e83ade0d12",
     "decay_discrete": "9a00473f71b94cb1325cd07e97b59acf7f634b9c5d09a277a2864f8faa7cb75f",
     "erdos_renyi": "074cd047612e2d9ff0c4f25e167408b9f08b543de2d4c672834463c9b4ea68e7",
@@ -215,7 +302,9 @@ GOLDEN = {
     "gnm_dense": "e2795a6cf2c11730e92b4bd97a622069bc722ff669cacf4c6f3dd091c109a814",
     "gnm_sparse": "83a2a3c4bcd94c7a4450ae0da2e6db104f8fe7a1cfad10ea4255f8911b8ba373",
     "lattice_box": "ad3f490503148e3b13ba309b526e49c35e25521a6b776aa3fbf21dcd11f42045",
+    "limit_histogram": "f30b7119ff56b2a47ae2208d2fa57cf3f9ebaaeef4a48ce9abf6f12c9590d3dc",
     "neighborhood_histogram": "f612c22848c80d356d9250d9798d28e43fb1ed603e1b7e17219b96f7b9b1eb89",
+    "path_laws": "613e185b8b9f2764eb4b97708341552a77af7270d9accc50e8f8facc9f813541",
     "random_regular": "49fbb1417f36d1eae10477364bac92d58c9c52d025ad6efc6947d68a15973f6c",
     "regular_tree": "f77ca33399961bb46e99aea994282d65791d54bf0b02ba469359496e7f5d661b",
     "replica_paths_diffusion": "66af0bd6efe4cdd233009d94710ffac5bf23f03a48f0f16ed0f7e083acdb8182",
@@ -233,6 +322,7 @@ GOLDEN = {
     "simulate_voter": "213027166df4cc68e1d79794b1850acabebc880fc93ed3e5a9b75a097af3acd9",
     "simulate_voter_scalar": "213027166df4cc68e1d79794b1850acabebc880fc93ed3e5a9b75a097af3acd9",
     "traversals": "dd3f6fef8c05e4a3740e2dd92e016ada40c2ef3e281cae218d53da499da74d1e",
+    "two_root_gap": "54b137de7101225c3581a228ce297cb1605ea9928ce48da416d14badb194c4f0",
 }
 
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedyn import localtopo
 from sparsedyn.graphs import (
@@ -9,6 +11,7 @@ from sparsedyn.graphs import (
     MarkedGraph,
     RootedGraph,
     ball,
+    component_of,
     gen_erdos_renyi,
     gen_lattice_box,
     gen_random_regular,
@@ -169,6 +172,91 @@ class TestCodeAgreesWithBruteForce:
             assert canonical_code(RootedGraph(g, root)) == canonical_code(
                 RootedGraph(g2, int(perm[root]))
             )
+
+
+def random_connected(n, extra, gen):
+    """Random connected graph: a random recursive tree plus ``extra`` chords."""
+    edges = {(int(gen.integers(0, i)), i) for i in range(1, n)}
+    pairs = [p for p in itertools.combinations(range(n), 2) if p not in edges]
+    for i in gen.permutation(len(pairs))[:extra]:
+        edges.add(pairs[i])
+    return Graph.from_edges(n, sorted(edges))
+
+
+def relabeled(rg, gen):
+    perm = gen.permutation(rg.vertex_count)
+    return RootedGraph(Graph.from_edges(rg.vertex_count, perm[rg.graph.edges()]), int(perm[rg.root]))
+
+
+class TestNetworkxOracle:
+    """``rooted_isomorphic`` against networkx's VF2 with the root as a node flag."""
+
+    @staticmethod
+    def expected(a, b):
+        nx = pytest.importorskip("networkx")
+
+        def as_nx(rg):
+            h = nx.Graph()
+            h.add_nodes_from((v, {"root": v == rg.root}) for v in range(rg.vertex_count))
+            h.add_edges_from(rg.graph.edges().tolist())
+            return h
+
+        return nx.is_isomorphic(as_nx(a), as_nx(b), node_match=lambda x, y: x["root"] == y["root"])
+
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    def test_random_connected_rooted_graphs(self, extra):
+        gen = np.random.default_rng(100 + extra)
+        outcomes = []
+        for _ in range(60):
+            n = int(gen.integers(2, 10))
+            extra_n = min(extra, n * (n - 1) // 2 - (n - 1))
+            a = RootedGraph(random_connected(n, extra_n, gen), int(gen.integers(0, n)))
+            # a relabeled copy rooted anywhere, and a fresh graph of the same size
+            moved = relabeled(a, gen)
+            others = [RootedGraph(moved.graph, int(gen.integers(0, n))),
+                      RootedGraph(random_connected(n, extra_n, gen), int(gen.integers(0, n)))]
+            assert rooted_isomorphic(a, moved) and self.expected(a, moved)
+            for b in others:
+                outcomes.append(self.expected(a, b))
+                assert rooted_isomorphic(a, b) == outcomes[-1]
+        assert any(outcomes) and not all(outcomes)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_balls_of_random_graphs(self, r):
+        outcomes, cyclic = [], 0
+        for seed in range(3):
+            g = gen_erdos_renyi(40, 3.5 / 40, seed=seed)
+            balls = [ball(component_of(g, v), r) for v in range(g.vertex_count)]
+            cyclic += sum(b.graph.edge_count >= b.vertex_count for b in balls)
+            by_size = {}
+            for b in balls:
+                by_size.setdefault((b.vertex_count, b.graph.edge_count), []).append(b)
+            for group in by_size.values():
+                for a, b in itertools.combinations(group[:6], 2):
+                    outcomes.append(self.expected(a, b))
+                    assert rooted_isomorphic(a, b) == outcomes[-1]
+        assert any(outcomes) and not all(outcomes) and cyclic
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else set()
+    return Graph.from_edges(n, sorted(chosen))
+
+
+class TestBallCodeProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.integers(0, 4), st.randoms(use_true_random=False))
+    def test_ball_code_is_the_code_of_the_cut_ball(self, g, r, rnd):
+        # cyclic balls included; relabeling the graph leaves every code unchanged
+        perm = np.array(rnd.sample(range(g.vertex_count), g.vertex_count), dtype=np.int64)
+        moved = Graph.from_edges(g.vertex_count, perm[g.edges()])
+        for v in range(g.vertex_count):
+            code = localtopo._ball_code_from(g, v, r)
+            assert code == canonical_code(ball(component_of(g, v), r))
+            assert code == localtopo._ball_code_from(moved, int(perm[v]), r)
 
 
 class TestRootedIsomorphic:
