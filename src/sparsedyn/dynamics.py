@@ -11,8 +11,10 @@ so their output is invariant under any reordering of the neighbor bundle, in
 floating point and not just in law.
 
 :func:`simulate` runs any model; it and every estimator here dispatch on the
-model family in one place.  Single runs and replica blocks share one loop per
-family, and a replica block is the stack of its single runs, bit for bit.
+model family in one place.  Each family sets up a run once (``_start``: the
+step count, X(0) from the marks, the noise key, the time grid and the states
+loop), and one runner serves single runs and one serves replica blocks for
+both families, so a replica block is the stack of its single runs, bit for bit.
 """
 
 from __future__ import annotations
@@ -84,18 +86,17 @@ class GraphAux:
     """Traversal arrays shared by the vectorized update rules.
 
     A view of a :class:`Graph`: its own read-only CSR arrays plus the
-    degrees, edge sources and sparse matrix the graph derives once and caches.
+    degrees and sparse matrix the graph derives once and caches.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     degrees: np.ndarray
-    edge_src: np.ndarray  # repeat(arange(n), degrees); aligned with indices
     adjacency: sparse.csr_matrix
 
     @staticmethod
     def of(g: Graph) -> "GraphAux":
-        return GraphAux(g.indptr, g.indices, g.degrees, g.edge_src, g.matrix)
+        return GraphAux(g.indptr, g.indices, g.degrees, g.matrix)
 
     def neighbor_sums(self, values: np.ndarray) -> np.ndarray:
         """Row sums of neighbor values; ``values`` is (n,) or (..., n)."""
@@ -117,7 +118,8 @@ class DiscreteModel:
     same results from the current states only: ``cur`` and ``u`` have shape
     ``(..., n)``, leading axes being independent runs such as replicas.  The
     engines use it when present and fall back to the scalar rule, which alone
-    may read the history.
+    may read the history.  Integer marks are symbols of the alphabet and the
+    states stay int64; float marks run as float64 states.
     """
 
     name: str
@@ -126,6 +128,21 @@ class DiscreteModel:
     isolated_step: Callable[[int, np.ndarray, float], int]
     batch_step: Callable | None = field(default=None, compare=False)
 
+    def _start(self, marks, n: int, k_max, dt, seed: int):
+        """``(x0, times, states)`` of a run of ``k_max`` steps from ``marks``
+        (``dt`` is unused): X(0) of shape (n,), the step grid 0..k_max, and
+        ``states(aux, x0, vertex, stream)`` yielding X(1), ..., X(k_max) from
+        any X(0) of shape (..., n)."""
+        k_max = _whole_steps(k_max)
+        x0 = np.asarray(marks)
+        if x0.shape != (n,):
+            raise ValueError("marks length must equal vertex count")
+        if x0.dtype.kind in "iub" and n and (x0.min() < 0 or x0.max() >= self.alphabet_size):
+            raise ValueError(f"integer marks must lie in [0, {self.alphabet_size}) for {self.name}")
+        x0 = x0.astype(np.int64 if x0.dtype.kind in "iub" else np.float64)
+        times = np.arange(k_max + 1, dtype=np.int64)
+        return x0, times, partial(_discrete_states, self, k_max, rng.stream_key(seed, _DISC_TAG))
+
 
 @dataclass(frozen=True)
 class DiffusionModel:
@@ -133,7 +150,6 @@ class DiffusionModel:
 
     ``drift(t, own, neighbors)`` and ``sigma(t, own, neighbors)``, the scalar
     rule, read one vertex's current state and its neighbors' states.
-    ``lipschitz_constant`` is metadata used only for reporting.
     ``batch_drift(t, states, aux)`` is an optional vectorised drift over
     current states of shape ``(..., n, d)``, leading axes being independent
     runs such as replicas.  The engines use it with the state-independent
@@ -144,9 +160,24 @@ class DiffusionModel:
     dim: int
     drift: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     sigma: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    lipschitz_constant: float | None = None
     batch_drift: Callable | None = field(default=None, compare=False)
     sigma_scale: float | None = None
+
+    def _start(self, marks, n: int, horizon: float, dt: float, seed: int):
+        """``(x0, times, states)`` of a run to ``horizon`` in steps of ``dt``
+        from ``marks``: X(0) of shape (n, dim), the time grid, and
+        ``states(aux, x0, vertex, stream)`` yielding the Euler-Maruyama states
+        from any X(0) of shape (..., n, dim)."""
+        steps = _step_count(horizon, dt)
+        x0 = np.asarray(marks, dtype=np.float64)
+        if x0.ndim == 1:
+            if self.dim != 1:
+                raise ValueError("scalar marks with a multi-dimensional model")
+            x0 = x0[:, None]
+        if x0.shape != (n, self.dim):
+            raise ValueError("marks must have shape (n,) or (n, dim)")
+        times = np.arange(steps + 1, dtype=np.float64) * dt
+        return x0, times, partial(_diffusion_states, self, steps, dt, rng.stream_key(seed, _DIFF_TAG))
 
 
 def _resolve_graph(g, marks) -> tuple[Graph, np.ndarray | None]:
@@ -177,14 +208,6 @@ def _whole_steps(k_max) -> int:
     return int(k_max)
 
 
-def _check_marks(marks: np.ndarray, model: DiscreteModel) -> None:
-    """Integer marks must be symbols of the model's alphabet."""
-    if marks.dtype.kind in "iub" and marks.size and (
-        marks.min() < 0 or marks.max() >= model.alphabet_size
-    ):
-        raise ValueError(f"integer marks must lie in [0, {model.alphabet_size}) for {model.name}")
-
-
 def _vertex_indices(vertices, n: int) -> np.ndarray:
     """``vertices`` as an int64 array; each must index a vertex of an n-vertex graph."""
     arr = np.asarray(vertices, dtype=np.int64)
@@ -202,20 +225,7 @@ def _per_vertex(value, n: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _run_noise(n: int, streams, noise_index) -> tuple[np.ndarray, np.ndarray]:
-    """(noise index, stream) of every vertex in a single run."""
-    vertex = np.arange(n, dtype=np.int64) if noise_index is None else _per_vertex(noise_index, n)
-    return vertex, _per_vertex(streams, n)
-
-
-def _replica_noise(n: int, replicas: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """(noise index, stream) broadcasting to (replicas, n): replica r is the
-    single run on stream 2(r + offset)."""
-    streams = 2 * (offset + np.arange(replicas, dtype=np.int64))[:, None]
-    return np.arange(n, dtype=np.int64)[None, :], streams
-
-
-def _discrete_states(model: DiscreteModel, aux: GraphAux, x0: np.ndarray, k_max: int, key: int,
+def _discrete_states(model: DiscreteModel, k_max: int, key: int, aux: GraphAux, x0: np.ndarray,
                      vertex, stream):
     """Yield X(1), ..., X(k_max) from X(0) = ``x0`` of shape (..., n); the
     draws of step k, ``rng.uniform(key, vertex, k, stream=stream)``, broadcast
@@ -241,8 +251,8 @@ def _discrete_states(model: DiscreteModel, aux: GraphAux, x0: np.ndarray, k_max:
         yield cur
 
 
-def _diffusion_states(model: DiffusionModel, aux: GraphAux, x0: np.ndarray, steps: int, dt: float,
-                      key: int, vertex, stream):
+def _diffusion_states(model: DiffusionModel, steps: int, dt: float, key: int, aux: GraphAux,
+                      x0: np.ndarray, vertex, stream):
     """Yield the Euler-Maruyama states X(dt), ..., X(steps dt) from X(0) =
     ``x0`` of shape (..., n, d); ``vertex`` and ``stream`` broadcast to
     (..., n).  Raises :class:`NumericalAbort` on a non-finite state."""
@@ -272,13 +282,34 @@ def _diffusion_states(model: DiffusionModel, aux: GraphAux, x0: np.ndarray, step
         yield cur
 
 
-def _paths(x0: np.ndarray, states, steps: int) -> np.ndarray:
-    """(steps+1, *x0.shape) array of X(0) and the states a loop yields."""
-    paths = np.empty((steps + 1, *x0.shape), dtype=x0.dtype)
+def _single(model, g, marks, horizon, dt, seed: int, streams, noise_index) -> TrajectorySet:
+    """The one runner of single runs: vertex v draws from stream ``streams``
+    at noise index ``noise_index`` (both scalars or per-vertex arrays)."""
+    graph, marks = _resolve_graph(g, marks)
+    n = graph.vertex_count
+    x0, times, states = model._start(marks, n, horizon, dt, seed)
+    vertex = np.arange(n, dtype=np.int64) if noise_index is None else _per_vertex(noise_index, n)
+    paths = np.empty((len(times), *x0.shape), dtype=x0.dtype)
     paths[0] = x0
-    for k, x in enumerate(states, 1):
+    for k, x in enumerate(states(GraphAux.of(graph), x0, vertex, _per_vertex(streams, n)), 1):
         paths[k] = x
-    return paths
+    return TrajectorySet(graph, times, paths, "vector" if x0.ndim == 2 else "discrete")
+
+
+def _replicas(model, graph: Graph, marks, horizon, dt, seed: int, replicas: int, record,
+              offset: int) -> np.ndarray:
+    """The one runner of replica blocks: (replicas, T+1, |record|) paths of
+    the recorded vertices (the one component of a dim-1 diffusion), all
+    replicas advancing together along a leading axis; replica r is the single
+    run on noise stream 2(r + offset)."""
+    n = graph.vertex_count
+    x0, _, states = model._start(marks, n, horizon, dt, seed)
+    record = _vertex_indices(record, n)
+    x0 = np.tile(x0, (replicas,) + (1,) * x0.ndim)
+    streams = 2 * (offset + np.arange(replicas, dtype=np.int64))[:, None]
+    run = states(GraphAux.of(graph), x0, np.arange(n, dtype=np.int64)[None, :], streams)
+    paths = np.stack([x0[:, record], *(x[:, record] for x in run)], axis=1)
+    return paths.reshape(*paths.shape[:2], *record.shape)
 
 
 def simulate_discrete(
@@ -292,19 +323,7 @@ def simulate_discrete(
     noise_index=None,
 ) -> TrajectorySet:
     """Run X(k+1) = F(k, X_v[0..k], X_neighbors(k), xi_v(k+1)) for k < k_max."""
-    k_max = _whole_steps(k_max)
-    graph, marks = _resolve_graph(g, marks)
-    x0 = np.asarray(marks)
-    n = graph.vertex_count
-    if x0.shape[0] != n:
-        raise ValueError("marks length must equal vertex count")
-    _check_marks(x0, model)
-    x0 = x0.astype(np.int64 if x0.dtype.kind in "iub" else np.float64)
-    key = rng.stream_key(seed, _DISC_TAG)
-    states = _discrete_states(model, GraphAux.of(graph), x0, k_max, key,
-                              *_run_noise(n, streams, noise_index))
-    times = np.arange(k_max + 1, dtype=np.int64)
-    return TrajectorySet(graph, times, _paths(x0, states, k_max), "discrete")
+    return _single(model, g, marks, k_max, None, seed, streams, noise_index)
 
 
 def simulate_diffusion(
@@ -323,22 +342,7 @@ def simulate_diffusion(
     Neighbor interaction is evaluated at the current grid time.  Aborts with
     :class:`NumericalAbort` if any state turns non-finite.
     """
-    steps = _step_count(horizon, dt)
-    graph, marks = _resolve_graph(g, marks)
-    x0 = np.asarray(marks, dtype=np.float64)
-    n = graph.vertex_count
-    d = model.dim
-    if x0.ndim == 1:
-        if d != 1:
-            raise ValueError("scalar marks with a multi-dimensional model")
-        x0 = x0[:, None]
-    if x0.shape != (n, d):
-        raise ValueError("marks must have shape (n,) or (n, dim)")
-    key = rng.stream_key(seed, _DIFF_TAG)
-    states = _diffusion_states(model, GraphAux.of(graph), x0, steps, dt, key,
-                               *_run_noise(n, streams, noise_index))
-    times = np.arange(steps + 1, dtype=np.float64) * dt
-    return TrajectorySet(graph, times, _paths(x0, states, steps), "vector")
+    return _single(model, g, marks, horizon, dt, seed, streams, noise_index)
 
 
 def _dispatch(model, horizon, dt):
@@ -453,9 +457,7 @@ def consensus_sde_model(sigma0: float = 1.0, dim: int = 1) -> DiffusionModel:
         return np.where(aux.degrees[:, None] > 0, mean - states, 0.0)
 
     return DiffusionModel(
-        f"consensus_sde({sigma0})", dim, drift, sigma,
-        lipschitz_constant=2.0, batch_drift=batch,
-        sigma_scale=float(sigma0),
+        f"consensus_sde({sigma0})", dim, drift, sigma, batch_drift=batch, sigma_scale=float(sigma0),
     )
 
 
@@ -480,9 +482,7 @@ def kuramoto_model(coupling: float = 1.0, sigma0: float = 0.0) -> DiffusionModel
         return np.where(aux.degrees > 0, val, 0.0)[..., None]
 
     return DiffusionModel(
-        f"kuramoto({coupling},{sigma0})", 1, drift, sigma,
-        lipschitz_constant=2.0 * coupling, batch_drift=batch,
-        sigma_scale=float(sigma0),
+        f"kuramoto({coupling},{sigma0})", 1, drift, sigma, batch_drift=batch, sigma_scale=float(sigma0),
     )
 
 
@@ -581,15 +581,7 @@ def replica_paths_discrete(
     All replicas advance together along a leading replica axis.  Replica r
     reproduces ``simulate_discrete(..., streams=2*(r+offset))``.
     """
-    k_max = _whole_steps(k_max)
-    marks = np.asarray(marks, dtype=np.int64)
-    _check_marks(marks, model)
-    record = _vertex_indices(record, graph.vertex_count)
-    x0 = np.tile(marks, (replicas, 1))
-    key = rng.stream_key(seed, _DISC_TAG)
-    noise = _replica_noise(graph.vertex_count, replicas, replica_offset)
-    states = _discrete_states(model, GraphAux.of(graph), x0, k_max, key, *noise)
-    return np.stack([x0[:, record], *(x[:, record] for x in states)], axis=1)
+    return _replicas(model, graph, marks, k_max, None, seed, replicas, record, replica_offset)
 
 
 def replica_paths_diffusion(
@@ -611,14 +603,7 @@ def replica_paths_diffusion(
     """
     if model.dim != 1:
         raise ValueError("replica paths need a dim-1 model")
-    steps = _step_count(horizon, dt)
-    n = graph.vertex_count
-    record = _vertex_indices(record, graph.vertex_count)
-    x0 = np.tile(np.asarray(marks, dtype=np.float64).reshape(n, 1), (replicas, 1, 1))
-    key = rng.stream_key(seed, _DIFF_TAG)
-    noise = _replica_noise(n, replicas, replica_offset)
-    states = _diffusion_states(model, GraphAux.of(graph), x0, steps, dt, key, *noise)
-    return np.stack([x0[:, record, 0], *(x[:, record, 0] for x in states)], axis=1)
+    return _replicas(model, graph, marks, horizon, dt, seed, replicas, record, replica_offset)
 
 
 def covariance_decay_profile(

@@ -142,24 +142,44 @@ def _all_configs(count: int, n: int, a: int) -> np.ndarray:
     return configs[:, :n]
 
 
-def exact_gibbs(g: Graph, spec: GibbsSpec, *, state_cap: int = EXACT_STATE_CAP) -> ExactGibbs:
-    """Enumerate all |alphabet|^n configurations and normalize."""
-    n = g.vertex_count
+def _enumerate(g: Graph, spec: GibbsSpec, region: tuple, boundary: dict[int, int]) -> ExactGibbs:
+    """Exact law of the symbols on ``region`` given ``boundary``, the symbols
+    of its outside neighbors: psi over edges inside the region and from it to
+    the boundary, lambda over region vertices, normalized in log space."""
     a = spec.size
-    count = a**n
-    if count > state_cap:
-        raise ValueError(f"state space of size {count} exceeds the cap {state_cap}")
-    configs = _all_configs(count, n, a)
+    local = {v: i for i, v in enumerate(region)}
     with np.errstate(divide="ignore"):
         log_lam = np.log(spec.lam)
         log_psi = np.log(spec.psi)
+    inner_edges = []
+    outer_edges = []
+    for v in region:
+        for u in g.adjacency[v]:
+            if u in local:
+                if v < u:
+                    inner_edges.append((local[v], local[u]))
+            else:
+                outer_edges.append((local[v], boundary[int(u)]))
+    configs = _all_configs(a ** len(region), len(region), a)
     logs = log_lam[configs].sum(axis=1)
-    for u, v in g.edges():
-        logs = logs + log_psi[configs[:, u], configs[:, v]]
+    for i, j in inner_edges:
+        logs = logs + log_psi[configs[:, i], configs[:, j]]
+    for i, b in outer_edges:
+        logs = logs + log_psi[configs[:, i], b]
     peak = logs.max()
+    if peak == -np.inf:
+        raise ValueError("zero mass: no configuration has positive weight")
     weights = np.exp(logs - peak)
     z = float(weights.sum())
     return ExactGibbs(configs, weights / z, math.log(z) + float(peak), a)
+
+
+def exact_gibbs(g: Graph, spec: GibbsSpec, *, state_cap: int = EXACT_STATE_CAP) -> ExactGibbs:
+    """Enumerate all |alphabet|^n configurations and normalize."""
+    count = spec.size**g.vertex_count
+    if count > state_cap:
+        raise ValueError(f"state space of size {count} exceeds the cap {state_cap}")
+    return _enumerate(g, spec, tuple(range(g.vertex_count)), {})
 
 
 def boundary_of(g: Graph, region) -> tuple[int, ...]:
@@ -190,35 +210,10 @@ def conditional_kernel(
     need = boundary_of(g, region)
     if set(boundary) != set(need):
         raise ValueError(f"boundary must cover exactly {need}")
-    a = spec.size
-    count = a ** len(region)
+    count = spec.size ** len(region)
     if count > state_cap:
         raise ValueError(f"conditional state space {count} exceeds the cap {state_cap}")
-    local = {v: i for i, v in enumerate(region)}
-    with np.errstate(divide="ignore"):
-        log_lam = np.log(spec.lam)
-        log_psi = np.log(spec.psi)
-    inner_edges = []
-    outer_edges = []
-    for v in region:
-        for u in g.adjacency[v]:
-            if u in local:
-                if v < u:
-                    inner_edges.append((local[v], local[u]))
-            else:
-                outer_edges.append((local[v], boundary[int(u)]))
-    configs = _all_configs(count, len(region), a)
-    logs = log_lam[configs].sum(axis=1)
-    for i, j in inner_edges:
-        logs = logs + log_psi[configs[:, i], configs[:, j]]
-    for i, b in outer_edges:
-        logs = logs + log_psi[configs[:, i], b]
-    peak = logs.max()
-    weights = np.exp(logs - peak)
-    z = float(weights.sum())
-    if z <= 0:
-        raise ValueError("conditional kernel has zero mass")
-    return ExactGibbs(configs, weights / z, math.log(z) + float(peak), a)
+    return _enumerate(g, spec, region, boundary)
 
 
 def iid_sample(g: Graph, lam, seed: int) -> np.ndarray:

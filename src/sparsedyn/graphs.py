@@ -313,18 +313,11 @@ def gen_erdos_renyi(n: int, p: float, seed: int, *, size_cap: int = DEFAULT_SIZE
 
 def _pair_decode(idx: np.ndarray, n: int) -> np.ndarray:
     """Decode lexicographic pair index (u<v) over n vertices."""
-    # row u occupies indices [u*n - u(u+1)/2, ...) of length n-1-u
-    u = np.floor((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8.0 * idx)) / 2).astype(np.int64)
-    base = u * n - u * (u + 1) // 2
-    # guard against float rounding at row boundaries
-    over = base > idx
-    u[over] -= 1
-    base = u * n - u * (u + 1) // 2
-    under = idx - base >= n - 1 - u
-    u[under] += 1
-    base = u * n - u * (u + 1) // 2
-    v = u + 1 + (idx - base)
-    return np.stack([u, v], axis=1)
+    # row u holds the pairs (u, v > u) from index u*n - u(u+1)/2 on
+    rows = np.arange(max(n - 1, 0), dtype=np.int64)
+    starts = rows * n - rows * (rows + 1) // 2
+    u = np.searchsorted(starts, idx, side="right") - 1
+    return np.stack([u, u + 1 + (idx - starts[u])], axis=1)
 
 
 def gen_gnm(n: int, m: int, seed: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
@@ -358,8 +351,8 @@ def gen_configuration_model(
     """Uniform half-edge pairing conditioned on simplicity.
 
     The whole pairing is resampled up to ``max_pairing_attempts`` times until
-    it is simple; on exhaustion self-loops are erased and multi-edges
-    collapsed, and the result carries ``erased_fallback=True``.
+    it is simple; on exhaustion one more pairing has its self-loops erased and
+    multi-edges collapsed, and the result carries ``erased_fallback=True``.
     """
     deg = np.asarray(degrees, dtype=np.int64)
     n = len(deg)
@@ -371,32 +364,27 @@ def gen_configuration_model(
         raise ValueError("each degree must be < n")
     if int(deg.sum()) % 2 != 0:
         raise ValueError("degree sum must be even")
+    if max_pairing_attempts < 0:
+        raise ValueError("max_pairing_attempts must be >= 0")
     _check_cap(n, size_cap)
     stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
     if stubs.size == 0:
         return _from_edge_arrays(n, ())
     gen = rng.generator(seed, 0x434D)
-    pairing = None
-    for _ in range(max_pairing_attempts):
+    for attempt in range(max_pairing_attempts + 1):
+        fallback = attempt == max_pairing_attempts
         perm = gen.permutation(stubs)
         a, b = perm[0::2], perm[1::2]
-        if np.any(a == b):
+        keep = a != b
+        if not (fallback or keep.all()):
             continue
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        keys = lo * n + hi
-        if np.unique(keys).size != keys.size:
-            continue
-        pairing = np.stack([lo, hi], axis=1)
-        break
-    if pairing is not None:
-        return _from_edge_arrays(n, pairing)
-    perm = gen.permutation(stubs)
-    a, b = perm[0::2], perm[1::2]
-    keep = a != b
-    lo, hi = np.minimum(a[keep], b[keep]), np.maximum(a[keep], b[keep])
-    keys = np.unique(lo * n + hi)
-    pairing = np.stack([keys // n, keys % n], axis=1)
-    return _from_edge_arrays(n, pairing, erased_fallback=True)
+        keys = np.sort(np.minimum(a, b)[keep] * n + np.maximum(a, b)[keep])
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        if fallback or first.all():
+            break
+    keys = keys[first]
+    return _from_edge_arrays(n, np.stack([keys // n, keys % n], axis=1), erased_fallback=fallback)
 
 
 def gen_random_regular(n: int, k: int, seed: int, **kwargs) -> Graph:

@@ -254,15 +254,27 @@ def sample_gw(
 # ---------------------------------------------------------------------------
 
 def extinction_root(rho: DegreeDist, tol: float = 1e-12, max_iter: int = 100_000) -> float:
-    """Smallest fixed point of the size-biased pgf (monotone iteration from 0)."""
-    hat = size_biased(rho)
-    q = 0.0
+    """Smallest fixed point of the size-biased pgf h on [0, 1].
+
+    h(q) - q = (1 - q)(1 - phi(q)) with phi(q) = sum_j P(hat > j) q^j, an
+    increasing convex polynomial with phi(1) = theta.  So the root is 1
+    unless phi(1) > 1, and then it is the root of phi = 1 in [0, 1), which
+    Newton's method from 1 approaches monotonically from above.  Unlike
+    h(q) - q, phi - 1 has a simple root even when theta is 1 up to rounding.
+    """
+    hat = size_biased(rho).probabilities
+    phi = np.cumsum(hat[::-1])[:-1]  # P(hat > j), highest power j first
+    slope = np.polyder(phi)
+    q = 1.0
     for _ in range(max_iter):
-        q_new = hat.pgf(q)
-        if abs(q_new - q) < tol:
-            return q_new
-        q = q_new
-    raise RuntimeError(f"fixed-point iteration did not converge in {max_iter} steps")
+        excess = float(np.polyval(phi, q)) - 1.0
+        if excess <= 0.0:
+            return q
+        step = excess / float(np.polyval(slope, q))
+        q = max(q - step, 0.0)
+        if step < tol:
+            return q
+    raise RuntimeError(f"Newton iteration did not converge in {max_iter} steps")
 
 
 def survival_prob(rho: DegreeDist) -> float:
@@ -277,7 +289,7 @@ def survival_prob(rho: DegreeDist) -> float:
     if theta(rho) <= 1.0:
         return 0.0
     q = extinction_root(rho)
-    return 1.0 - rho.pgf(q)
+    return 1.0 - rho.pgf(q) if q < 1.0 else 0.0
 
 
 def duality_function(rho: DegreeDist, x) -> np.ndarray:

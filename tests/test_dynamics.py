@@ -7,6 +7,7 @@ import pytest
 from sparsedyn.dynamics import (
     DecayProfile,
     DiffusionModel,
+    DiscreteModel,
     GraphAux,
     NumericalAbort,
     builtin_model,
@@ -532,4 +533,31 @@ class TestEngineBoundary:
                     lambda: simulate(TRIANGLE, None, builtin_model("voter"), 2, 1),
                     lambda: simulate(TRIANGLE, None, builtin_model("consensus_sde"), 0.2, 1, dt=0.1)):
             with pytest.raises(ValueError, match="marks are required"):
+                run()
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_float_marks_replica_equals_its_single_run(self, batch):
+        # replica_paths_discrete used to cast float marks and states to int64 (all zeros here)
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        marks = [0.25, 0.5, 0.75]
+        model = DiscreteModel("drift", 2, lambda k, h, nb, u: h[-1] + u, lambda k, h, u: h[-1] + u,
+                              (lambda k, cur, aux, u: cur + u) if batch else None)
+        block = replica_paths_discrete(g, marks, model, 3, 5, 4, [0, 1, 2], replica_offset=2)
+        assert block.dtype == np.float64
+        for r in range(4):
+            solo = simulate_discrete(g, marks, model, 3, 5, streams=2 * (r + 2))
+            assert np.array_equal(block[r], solo.paths)
+        assert not np.array_equal(block[0], block[1])
+
+    @pytest.mark.parametrize("marks", [[0, 1], [0, 1, 1, 0], [[0, 1, 1]]])
+    def test_marks_of_the_wrong_length_raise_in_every_engine(self, marks):
+        # the replica engines used to fail inside numpy (a matmul or reshape error)
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        voter, sde = builtin_model("voter"), builtin_model("kuramoto", sigma0=0.5)
+        fmarks = np.asarray(marks, dtype=np.float64)
+        for run in (lambda: simulate_discrete(g, marks, voter, 2, 1),
+                    lambda: replica_paths_discrete(g, marks, voter, 2, 1, 2, [0]),
+                    lambda: simulate_diffusion(g, fmarks, sde, 0.2, 0.1, 1),
+                    lambda: replica_paths_diffusion(g, fmarks, sde, 0.2, 0.1, 1, 2, [0])):
+            with pytest.raises(ValueError, match="marks"):
                 run()

@@ -15,7 +15,7 @@ from sparsedyn.gibbs import (
     log_unnormalized_weight,
     unnormalized_weight,
 )
-from sparsedyn.graphs import Graph, gen_lattice_box
+from sparsedyn.graphs import Graph, gen_erdos_renyi, gen_lattice_box
 
 EDGE = Graph.from_edges(2, [(0, 1)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -106,6 +106,35 @@ class TestConditionalKernel:
         full = conditional_kernel(PATH3, spec, [0, 1, 2], {})
         dist = exact_gibbs(PATH3, spec)
         assert np.allclose(full.probabilities, dist.probabilities, atol=1e-12)
+
+
+    @pytest.mark.parametrize("which", ["ising_triangle", "potts_er9"])
+    def test_full_region_equals_exact_bitwise(self, which):
+        if which == "ising_triangle":
+            g, spec = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), GibbsSpec.ising(0.3)
+        else:
+            gen = np.random.default_rng(5)
+            psi = gen.random((3, 3))
+            lam = gen.random(3)
+            g = gen_erdos_renyi(9, 0.35, 4)
+            spec = GibbsSpec((0, 1, 2), psi + psi.T, lam / lam.sum())
+        full = conditional_kernel(g, spec, range(g.vertex_count), {})
+        dist = exact_gibbs(g, spec)
+        assert np.array_equal(full.configurations, dist.configurations)
+        assert np.array_equal(full.probabilities, dist.probabilities)
+        assert full.log_z == dist.log_z
+
+    def test_zero_mass_raises(self):
+        # both used to return NaN probabilities and log_z = nan: psi forbids
+        # equal neighbors, and a triangle cannot be properly 2-colored
+        spec = GibbsSpec((0, 1), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
+        tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ValueError, match="zero mass"):
+            exact_gibbs(tri, spec)
+        with pytest.raises(ValueError, match="zero mass"):
+            conditional_kernel(tri, spec, [0, 1, 2], {})
+        with pytest.raises(ValueError, match="zero mass"):
+            conditional_kernel(PATH3, spec, [1], {0: 0, 2: 1})
 
 
 def brute_conditional_from_exact(dist, region, complement_values):

@@ -144,6 +144,15 @@ class TestConfigurationModel:
         assert all(d_out <= d_in for d_out, d_in in zip(g.degrees, deg))
         g.validate()
 
+    def test_attempt_budget(self):
+        # with no attempts left the one pairing drawn is the erased fallback,
+        # flagged even when it happens to be simple
+        g = gen_configuration_model([1, 1], seed=1, max_pairing_attempts=0)
+        assert g.adjacency == ((1,), (0,)) and g.erased_fallback
+        assert not gen_configuration_model([1, 1], seed=1, max_pairing_attempts=1).erased_fallback
+        with pytest.raises(ValueError, match="max_pairing_attempts"):
+            gen_configuration_model([1, 1], seed=1, max_pairing_attempts=-1)
+
 
 class TestRandomRegular:
     def test_k1_edge(self):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,25 @@ class TestSurvival:
         # theta = 1 but every non-root vertex has exactly one child, so the
         # tree is infinite exactly when the root branches at all
         assert survival_prob(degree_dist({0: 0.5, 2: 0.5})) == 0.5
+
+    def test_theta_one_up_to_rounding(self):
+        # theta is exactly 1 but evaluates to 1.0000000000000002; the monotone
+        # fixed-point iteration crawled to the double root and raised after 1e5 steps
+        rho = degree_dist([0.6, 0.3, 0, 0.1])
+        assert theta(rho) > 1.0
+        start = time.perf_counter()
+        assert abs(survival_prob(rho)) < 1e-9
+        assert abs(extinction_root(rho) - 1.0) < 1e-9
+        assert time.perf_counter() - start < 1.0
+
+    def test_barely_supercritical(self):
+        # size-biased law a + (1 - a) q^2 has extinction root a / (1 - a) and
+        # theta = 2(1 - a); monotone iteration contracts by only 1 - 2e-7 per step here
+        a = 0.5 - 1e-7
+        rho = degree_dist({1: a / (a + (1 - a) / 3), 3: (1 - a) / 3 / (a + (1 - a) / 3)})
+        q = a / (1 - a)
+        assert abs(extinction_root(rho) - q) < 1e-12
+        assert abs(survival_prob(rho) - (1.0 - rho.pgf(q))) < 1e-12
 
     @pytest.mark.parametrize("th", [1.5, 2.0, 3.0])
     def test_poisson_fixed_point(self, th):
