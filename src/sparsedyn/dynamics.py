@@ -62,24 +62,6 @@ class TrajectorySet:
     def steps(self) -> int:
         return len(self.times) - 1
 
-    def path_of(self, v: int) -> np.ndarray:
-        return self.paths[:, v]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            if self.paths.ndim == 2:
-                fh.write("vertex,time,state\n")
-                for v in range(self.graph.vertex_count):
-                    for t, x in zip(self.times, self.paths[:, v]):
-                        fh.write(f"{v},{t},{x}\n")
-            else:
-                d = self.paths.shape[2]
-                header = ",".join(f"x{i}" for i in range(d))
-                fh.write(f"vertex,time,{header}\n")
-                for v in range(self.graph.vertex_count):
-                    for t, x in zip(self.times, self.paths[:, v]):
-                        fh.write(f"{v},{t}," + ",".join(repr(float(c)) for c in x) + "\n")
-
 
 @dataclass(frozen=True)
 class GraphAux:
@@ -486,21 +468,6 @@ def kuramoto_model(coupling: float = 1.0, sigma0: float = 0.0) -> DiffusionModel
     )
 
 
-_BUILTINS: dict[str, Callable] = {
-    "voter": voter_model,
-    "noisy_majority": noisy_majority_model,
-    "consensus_sde": consensus_sde_model,
-    "kuramoto": kuramoto_model,
-}
-
-
-def builtin_model(name: str, **params):
-    """Look up a built-in model by name; raises KeyError for unknown names."""
-    if name not in _BUILTINS:
-        raise KeyError(f"unknown model {name!r}; available: {sorted(_BUILTINS)}")
-    return _BUILTINS[name](**params)
-
-
 # ---------------------------------------------------------------------------
 # Noise-partition coupling and covariance profiles
 # ---------------------------------------------------------------------------
@@ -557,12 +524,6 @@ class DecayProfile:
         d = np.asarray(self.distances)
         if np.any(np.diff(d) <= 0):
             raise ValueError("distances must be strictly increasing")
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("distance,covariance,ci_half_width\n")
-            for d, e, c in zip(self.distances, self.estimates, self.ci_half_widths):
-                fh.write(f"{d},{e!r},{c!r}\n")
 
 
 def replica_paths_discrete(

@@ -140,7 +140,9 @@ def wasserstein1_paths(
 
     Both measures are subsampled (without replacement) to the same count, the
     pairwise cost is the sup distance over grid times <= t, and the exact
-    optimal assignment is solved with the Hungarian algorithm.
+    optimal assignment is solved with the Hungarian algorithm.  Measures of
+    equal count share one index set, which keeps row-coupled measures coupled
+    (so W1(a, a) is 0) and is still a uniform subsample of each.
     """
     if len(a.times) != len(b.times) or not np.array_equal(a.times, b.times):
         raise ValueError("time grids differ")
@@ -152,7 +154,10 @@ def wasserstein1_paths(
         raise ValueError("nothing left after subsampling")
     gen = rng.generator(seed, 0x5731)
     ia = gen.choice(a.count, size=m, replace=False) if a.count > m else np.arange(a.count)
-    ib = gen.choice(b.count, size=m, replace=False) if b.count > m else np.arange(b.count)
+    if b.count == a.count:
+        ib = ia
+    else:
+        ib = gen.choice(b.count, size=m, replace=False) if b.count > m else np.arange(b.count)
     xs = a.samples[ia][:, keep].astype(np.float64)
     ys = b.samples[ib][:, keep].astype(np.float64)
     cost = np.empty((m, m))

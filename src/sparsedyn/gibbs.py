@@ -7,7 +7,6 @@ interaction-free special case (psi identically 1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -66,21 +65,6 @@ class GibbsSpec:
         a = len(lam)
         return GibbsSpec(tuple(range(a)), np.ones((a, a)), lam)
 
-    @staticmethod
-    def from_json(text: str) -> "GibbsSpec":
-        data = json.loads(text)
-        return GibbsSpec(tuple(data["alphabet"]), np.array(data["psi"]), np.array(data["lambda"]))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alphabet": list(self.alphabet),
-                "psi": self.psi.tolist(),
-                "lambda": self.lam.tolist(),
-            },
-            sort_keys=True,
-        )
-
 
 def _config_array(c, n: int) -> np.ndarray:
     arr = np.asarray(c, dtype=np.int64)
@@ -118,11 +102,12 @@ class ExactGibbs:
 
     def probability_of(self, c) -> float:
         arr = _config_array(c, self.configurations.shape[1])
-        hit = np.all(self.configurations == arr, axis=1)
-        idx = np.nonzero(hit)[0]
-        return float(self.probabilities[idx[0]]) if idx.size else 0.0
+        if np.any((arr < 0) | (arr >= self.alphabet_size)):
+            return 0.0
+        return float(self.probabilities[self.index_of(arr)])
 
     def index_of(self, c) -> int:
+        """Row of ``c`` in ``configurations``, which enumerate lexicographically."""
         arr = _config_array(c, self.configurations.shape[1])
         powers = self.alphabet_size ** np.arange(len(arr) - 1, -1, -1)
         return int(np.dot(arr, powers))

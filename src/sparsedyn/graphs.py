@@ -545,33 +545,6 @@ def ball(rg: RootedGraph, k: int) -> RootedGraph:
     return _induced_rooted(rg.graph, order, rg.root)
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def write_edgelist(g: Graph | RootedGraph, path) -> None:
-    """Edge-list text format: header "n <count> root <index|none>", then "u v" lines."""
-    graph = g.graph if isinstance(g, RootedGraph) else g
-    root = str(g.root) if isinstance(g, RootedGraph) else "none"
-    with open(path, "w") as fh:
-        fh.write(f"n {graph.vertex_count} root {root}\n")
-        for u, v in graph.edges():
-            fh.write(f"{u} {v}\n")
-
-
-def read_edgelist(path) -> Graph | RootedGraph:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != "n" or header[2] != "root":
-            raise ValueError("bad edge-list header")
-        n = int(header[1])
-        edges = [tuple(int(x) for x in line.split()) for line in fh if line.strip()]
-    g = Graph.from_edges(n, edges)
-    if header[3] == "none":
-        return g
-    return RootedGraph(g, int(header[3]))
-
-
 def validate_max_degree_growth(degrees, n: int, delta: float = 0.01) -> bool:
     """Check max degree stays below n**(1/4 - delta); advisory for duality runs."""
     deg = np.asarray(degrees)

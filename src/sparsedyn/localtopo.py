@@ -320,22 +320,6 @@ class BallHistogram:
     def frequencies(self) -> dict[BallCode, float]:
         return {c: k / self.total for c, k in self.counts.items()}
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("code_hex,count\n")
-            for code in sorted(self.counts):
-                fh.write(f"{code.hex()},{self.counts[code]}\n")
-
-    @staticmethod
-    def from_csv(path, radius: int) -> "BallHistogram":
-        counts: dict[bytes, int] = {}
-        with open(path) as fh:
-            next(fh)
-            for line in fh:
-                code_hex, count = line.strip().split(",")
-                counts[bytes.fromhex(code_hex)] = int(count)
-        return BallHistogram(counts, radius, sum(counts.values()))
-
 
 def neighborhood_histogram(g: Graph, r: int) -> BallHistogram:
     """Histogram of canonical codes of the radius-r ball around every vertex."""

@@ -7,12 +7,12 @@ every downstream sum finite and exact to far below the test tolerances.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize, special
 
 from . import rng
 from .graphs import Graph, RootedGraph, _from_edge_arrays
@@ -306,8 +306,8 @@ def dual_alpha(rho: DegreeDist, *, grid_points: int = 10_000, tol: float = 1e-12
     """Smallest positive root of the duality function on (0, m/2].
 
     The endpoints are always roots, so the search scans a uniform interior
-    grid for a sign change and bisects it; with no interior sign change the
-    root is m/2 itself.
+    grid for a sign change and solves on that cell with Brent's method; with
+    no interior sign change the root is m/2 itself.
     """
     if theta(rho) <= 1.0:
         raise ValueError("dual_alpha requires a supercritical law (theta > 1)")
@@ -318,15 +318,7 @@ def dual_alpha(rho: DegreeDist, *, grid_points: int = 10_000, tol: float = 1e-12
     if sign_change.size == 0:
         return m / 2.0
     lo, hi = float(xs[sign_change[0]]), float(xs[sign_change[0] + 1])
-    h_lo = duality_function(rho, lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        h_mid = float(duality_function(rho, mid))
-        if (h_lo > 0) == (h_mid > 0):
-            lo, h_lo = mid, h_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return optimize.brentq(lambda x: float(duality_function(rho, x)), lo, hi, xtol=tol)
 
 
 @dataclass(frozen=True)
@@ -340,20 +332,6 @@ class DualityReport:
     beta: float
     dual: DegreeDist
     dual_theta: float
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "theta": self.theta,
-            "survival": self.survival,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "dual_theta": self.dual_theta,
-            "dual_probabilities": [float(p) for p in self.dual.probabilities],
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def dual_distribution(rho: DegreeDist) -> DualityReport:
@@ -384,37 +362,14 @@ def dual_distribution(rho: DegreeDist) -> DualityReport:
     return DualityReport(m, th, s, alpha, beta, dual, dual_th)
 
 
-def poisson_dual(theta_value: float, tol: float = 1e-13) -> float:
+def poisson_dual(theta_value: float) -> float:
     """The subcritical twin of a Poisson parameter: t e^{-t} = theta e^{-theta}, t < 1.
 
-    Newton iteration with a bisection fallback on (0, 1).
+    Closed form t = -W0(-theta e^{-theta}) on the principal Lambert W branch.
     """
     if theta_value <= 1.0:
         raise ValueError("poisson_dual requires theta > 1")
-    target = theta_value * math.exp(-theta_value)
-    t = 0.5
-    for _ in range(100):
-        f = t * math.exp(-t) - target
-        fp = (1.0 - t) * math.exp(-t)
-        if fp == 0:
-            break
-        step = f / fp
-        t_new = t - step
-        if not 0.0 < t_new < 1.0:
-            break
-        if abs(t_new - t) < tol:
-            return t_new
-        t = t_new
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * math.exp(-mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+    return float(-special.lambertw(-theta_value * math.exp(-theta_value)).real)
 
 
 def population_survives(

@@ -10,15 +10,18 @@ from sparsedyn.dynamics import (
     DiscreteModel,
     GraphAux,
     NumericalAbort,
-    builtin_model,
+    consensus_sde_model,
     coupled_triple,
     covariance_decay_profile,
     distances_to,
+    kuramoto_model,
+    noisy_majority_model,
     replica_paths_diffusion,
     replica_paths_discrete,
     simulate,
     simulate_diffusion,
     simulate_discrete,
+    voter_model,
 )
 from sparsedyn import dynamics, rng
 from sparsedyn.graphs import Graph, gen_lattice_box, gen_regular_tree
@@ -30,32 +33,31 @@ C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 
 class TestDiscreteEngine:
     def test_voter_consensus_absorbing(self):
-        model = builtin_model("voter")
+        model = voter_model()
         ts = simulate_discrete(TRIANGLE, np.array([1, 1, 1]), model, 6, seed=1)
         assert np.all(ts.paths == 1)
 
     def test_majority_all_zeros_fixed(self):
-        model = builtin_model("noisy_majority", epsilon=0.0)
+        model = noisy_majority_model(epsilon=0.0)
         ts = simulate_discrete(TRIANGLE, np.array([0, 0, 0]), model, 5, seed=2)
         assert np.all(ts.paths == 0)
 
     def test_isolated_vertex_holds(self):
         g = Graph.from_edges(3, [(0, 1)])
-        model = builtin_model("voter")
+        model = voter_model()
         ts = simulate_discrete(g, np.array([0, 1, 1]), model, 8, seed=3)
         assert np.all(ts.paths[:, 2] == 1)
 
     def test_batch_equals_scalar_bitwise(self):
         g = gen_lattice_box(2, 3).graph
         marks = (np.arange(g.vertex_count) * 7 % 2).astype(np.int64)
-        for name, kwargs in (("voter", {}), ("noisy_majority", {"epsilon": 0.2})):
-            model = builtin_model(name, **kwargs)
+        for model in (voter_model(), noisy_majority_model(epsilon=0.2)):
             a = simulate_discrete(g, marks, model, 5, seed=9)
             b = simulate_discrete(g, marks, dataclasses.replace(model, batch_step=None), 5, seed=9)
-            assert np.array_equal(a.paths, b.paths), name
+            assert np.array_equal(a.paths, b.paths), model.name
 
     def test_determinism(self):
-        model = builtin_model("voter")
+        model = voter_model()
         g = gen_regular_tree(3, 4).graph
         marks = np.array([v % 2 for v in range(g.vertex_count)])
         a = simulate_discrete(g, marks, model, 4, seed=11)
@@ -66,8 +68,8 @@ class TestDiscreteEngine:
 
     def test_neighbor_bundle_permutation_invariance(self):
         gen = np.random.default_rng(0)
-        voter = builtin_model("voter", alphabet_size=3)
-        maj = builtin_model("noisy_majority", epsilon=0.3)
+        voter = voter_model(alphabet_size=3)
+        maj = noisy_majority_model(epsilon=0.3)
         for _ in range(200):
             m = int(gen.integers(1, 8))
             nbs = gen.integers(0, 3, size=m)
@@ -83,7 +85,7 @@ class TestDiscreteEngine:
         # bitwise unchanged
         rg = gen_lattice_box(2, 4)
         g = rg.graph
-        model = builtin_model("voter")
+        model = voter_model()
         marks = np.random.default_rng(17).integers(0, 2, g.vertex_count)
         gen = np.random.default_rng(5)
         for trial in range(6):
@@ -96,7 +98,7 @@ class TestDiscreteEngine:
             assert np.array_equal(base.paths[:, v], swapped.paths[:, v])
 
     def test_automorphism_equivariance_bitwise(self):
-        model = builtin_model("voter")
+        model = voter_model()
         n = 6
         phi = np.array([(v + 1) % n for v in range(n)])  # rotation of C6
         marks = np.array([0, 1, 1, 0, 1, 0])
@@ -117,7 +119,7 @@ class TestDiffusionEngine:
 
     def test_consensus_closed_form_on_k2(self):
         # d/dt (X1 - X2) = -2 (X1 - X2): gap(t) = 2 exp(-2t)
-        model = builtin_model("consensus_sde", sigma0=0.0)
+        model = consensus_sde_model(sigma0=0.0)
         dt = 1e-2
         ts = simulate_diffusion(K2, np.array([1.0, -1.0]), model, 1.0, dt, seed=5)
         gap = ts.paths[:, 0, 0] - ts.paths[:, 1, 0]
@@ -125,7 +127,7 @@ class TestDiffusionEngine:
         assert float(np.max(np.abs(gap - expect))) <= 5 * dt
 
     def test_consensus_error_shrinks_with_dt(self):
-        model = builtin_model("consensus_sde", sigma0=0.0)
+        model = consensus_sde_model(sigma0=0.0)
         errs = []
         for dt in (1e-2, 5e-3, 2.5e-3):
             ts = simulate_diffusion(K2, np.array([1.0, -1.0]), model, 1.0, dt, seed=5)
@@ -146,7 +148,7 @@ class TestDiffusionEngine:
         assert abs(float(np.var(inc)) / dt - 1.0) < 0.02
 
     def test_batch_matches_scalar_closely(self):
-        model = builtin_model("consensus_sde", sigma0=0.5)
+        model = consensus_sde_model(sigma0=0.5)
         g = gen_regular_tree(3, 2).graph
         marks = np.linspace(-1, 1, g.vertex_count)
         a = simulate_diffusion(g, marks, model, 0.5, 0.01, seed=7)
@@ -154,7 +156,7 @@ class TestDiffusionEngine:
         assert np.allclose(a.paths, b.paths, atol=1e-12)
 
     def test_equivariance_scalar_path(self):
-        model = dataclasses.replace(builtin_model("kuramoto", coupling=1.0, sigma0=0.3), batch_drift=None)
+        model = dataclasses.replace(kuramoto_model(coupling=1.0, sigma0=0.3), batch_drift=None)
         n = 6
         phi = np.array([(v + 1) % n for v in range(n)])
         marks = np.linspace(0, 2, n)
@@ -172,7 +174,7 @@ class TestDiffusionEngine:
         assert err.value.step >= 1
 
     def test_kuramoto_k0_independent(self):
-        model = builtin_model("kuramoto", coupling=0.0, sigma0=1.0)
+        model = kuramoto_model(coupling=0.0, sigma0=1.0)
         block = replica_paths_diffusion(
             K2, np.zeros(2), model, 1.0, 0.01, seed=13, replicas=3000, record=[0, 1]
         )
@@ -184,21 +186,13 @@ class TestDiffusionEngine:
 
 
 class TestBuiltinRegistry:
-    def test_known_names(self):
-        for name in ("voter", "noisy_majority", "consensus_sde", "kuramoto"):
-            builtin_model(name)
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            builtin_model("zealot")
-
     def test_voter_invariant_state(self):
-        model = builtin_model("voter")
+        model = voter_model()
         ts = simulate_discrete(TRIANGLE, np.array([1, 1, 1]), model, 3, seed=2)
         assert np.all(ts.paths == 1)
 
     def test_majority_eps0_all_ones(self):
-        model = builtin_model("noisy_majority", epsilon=0.0)
+        model = noisy_majority_model(epsilon=0.0)
         ts = simulate_discrete(TRIANGLE, np.array([1, 1, 1]), model, 3, seed=2)
         assert np.all(ts.paths == 1)
 
@@ -207,14 +201,14 @@ class TestReplicaBatching:
     def test_discrete_matches_stream_offset_runs(self):
         g = gen_lattice_box(1, 4).graph
         marks = np.array([v % 2 for v in range(g.vertex_count)])
-        model = builtin_model("voter")
+        model = voter_model()
         block = replica_paths_discrete(g, marks, model, 4, seed=3, replicas=5, record=list(range(g.vertex_count)))
         for r in range(5):
             solo = simulate_discrete(g, marks, model, 4, seed=3, streams=2 * r)
             assert np.array_equal(block[r], solo.paths)
 
     def test_diffusion_matches_stream_offset_runs(self):
-        model = builtin_model("consensus_sde", sigma0=0.4)
+        model = consensus_sde_model(sigma0=0.4)
         marks = np.array([1.0, -1.0])
         block = replica_paths_diffusion(K2, marks, model, 0.3, 0.01, seed=5, replicas=4, record=[0, 1])
         for r in range(4):
@@ -226,13 +220,13 @@ class TestReplicaBatching:
     def test_scalar_rule_runs_over_the_replica_axis(self, name, kwargs):
         g = gen_lattice_box(2, 2).graph
         marks = np.arange(g.vertex_count) % 2
-        model = builtin_model(name, **kwargs)
+        model = getattr(dynamics, f"{name}_model")(**kwargs)
         batch, scalar = (replica_paths_discrete(g, marks, m, 3, 4, 5, [0, 4, 8], replica_offset=2)
                          for m in (model, dataclasses.replace(model, batch_step=None)))
         assert np.array_equal(batch, scalar)
 
     def test_scalar_diffusion_runs_over_the_replica_axis(self):
-        model = dataclasses.replace(builtin_model("kuramoto", sigma0=0.3), batch_drift=None)
+        model = dataclasses.replace(kuramoto_model(sigma0=0.3), batch_drift=None)
         g = gen_regular_tree(2, 2).graph
         marks = np.linspace(-1.0, 1.0, g.vertex_count)
         block = replica_paths_diffusion(g, marks, model, 0.3, 0.1, seed=5, replicas=3, record=[0, 2, 4],
@@ -254,7 +248,7 @@ class TestReplicaBatching:
         assert np.array_equal(block, np.stack([expect, expect]))
 
     def test_offset_continuation(self):
-        model = builtin_model("consensus_sde", sigma0=0.4)
+        model = consensus_sde_model(sigma0=0.4)
         marks = np.array([1.0, -1.0])
         full = replica_paths_diffusion(K2, marks, model, 0.2, 0.01, seed=5, replicas=6, record=[0])
         tail = replica_paths_diffusion(
@@ -269,15 +263,15 @@ class TestSimulate:
         n = g.vertex_count
         noise = dict(streams=np.arange(n) % 2, noise_index=np.arange(n)[::-1])
         marks = np.arange(n) % 2
-        voter = builtin_model("voter")
+        voter = voter_model()
         assert np.array_equal(simulate(g, marks, voter, 4, 3, **noise).paths,
                               simulate_discrete(g, marks, voter, 4, 3, **noise).paths)
-        kuramoto = builtin_model("kuramoto", sigma0=0.5)
+        kuramoto = kuramoto_model(sigma0=0.5)
         assert np.array_equal(simulate(g, marks, kuramoto, 0.4, 3, dt=0.1, **noise).paths,
                               simulate_diffusion(g, marks, kuramoto, 0.4, 0.1, 3, **noise).paths)
 
     def test_diffusion_needs_dt(self):
-        model = builtin_model("consensus_sde")
+        model = consensus_sde_model()
         marks = np.array([1.0, -1.0])
         with pytest.raises(ValueError, match="dt is required"):
             simulate(K2, marks, model, 1.0, 1)
@@ -290,7 +284,7 @@ class TestSimulate:
     def test_discrete_horizon_never_truncates(self, horizon):
         # coupled_triple(..., horizon=2.7) used to run 2 steps, and
         # simulate_discrete(..., k_max=-1) to die with an IndexError
-        voter = builtin_model("voter")
+        voter = voter_model()
         marks = np.array([0, 1])
         with pytest.raises(ValueError, match="whole number of steps"):
             simulate(K2, marks, voter, horizon, 1)
@@ -304,7 +298,7 @@ class TestSimulate:
             covariance_decay_profile(K2, marks, voter, [([0], [1], 1)], lambda p: 0.0, horizon, 100, seed=1)
 
     def test_integral_float_horizon_is_accepted(self):
-        voter = builtin_model("voter")
+        voter = voter_model()
         a = simulate(TRIANGLE, np.array([0, 1, 1]), voter, 4.0, 2)
         assert np.array_equal(a.paths, simulate_discrete(TRIANGLE, np.array([0, 1, 1]), voter, 4, 2).paths)
 
@@ -324,7 +318,7 @@ class TestEdgeCases:
     def test_discrete(self, g, name, kwargs, k):
         n = g.vertex_count
         marks = np.arange(n) % 2
-        model = builtin_model(name, **kwargs)
+        model = getattr(dynamics, f"{name}_model")(**kwargs)
         ts = simulate(g, marks, model, k, 1)
         assert ts.paths.shape == (k + 1, n) and ts.times.tolist() == list(range(k + 1))
         if name == "voter":  # isolated vertices hold
@@ -345,7 +339,7 @@ class TestEdgeCases:
     def test_single_step_diffusion(self, g, name):
         n = g.vertex_count
         marks = np.linspace(-1.0, 1.0, n)
-        model = builtin_model(name, sigma0=0.5)
+        model = getattr(dynamics, f"{name}_model")(sigma0=0.5)
         ts = simulate(g, marks, model, 0.1, 1, dt=0.1)
         assert ts.paths.shape == (2, n, 1) and ts.times.tolist() == [0.0, 0.1]
         for replicas in (1, 3):
@@ -366,7 +360,7 @@ class TestCoupledTriple:
     def test_whole_set_tie_rule(self):
         g = TRIANGLE
         marks = np.array([0, 1, 0])
-        model = builtin_model("voter")
+        model = voter_model()
         x, y, z = coupled_triple(g, marks, [0, 1, 2], [0, 1, 2], model, 5, seed=6)
         assert np.array_equal(z.paths, x.paths)  # Z keeps the base stream everywhere
         fresh = simulate_discrete(g, marks, model, 5, seed=6, streams=1)
@@ -374,14 +368,14 @@ class TestCoupledTriple:
 
     def test_single_vertex(self):
         g = Graph.from_edges(1, [])
-        model = builtin_model("voter")
+        model = voter_model()
         x, y, z = coupled_triple(g, np.array([1]), [0], [0], model, 4, seed=7)
         assert np.array_equal(z.paths, x.paths)
 
     def test_same_marginal_law(self):
         g = gen_regular_tree(3, 2).graph
         marks = np.array([v % 2 for v in range(g.vertex_count)])
-        model = builtin_model("voter")
+        model = voter_model()
         root_means = []
         for which in range(3):
             vals = []
@@ -396,7 +390,7 @@ class TestCoupledTriple:
 
     def test_partition_matches_paper_rule(self):
         g = gen_lattice_box(1, 5).graph  # path of 11
-        model = builtin_model("voter")
+        model = voter_model()
         marks = np.array([v % 2 for v in range(11)])
         x, y, z = coupled_triple(g, marks, [0], [10], model, 2, seed=8)
         d1 = distances_to(g, [0])
@@ -413,7 +407,7 @@ class TestCovarianceProfile:
         g = gen_lattice_box(1, 6).graph
         # irregular marks keep the voter picks genuinely random near the center
         marks = np.array([0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0])
-        model = builtin_model("voter")
+        model = voter_model()
         prof = covariance_decay_profile(
             g, marks, model, [([6], [6], 0)], lambda p: float(p[-1, 0]), 3, 400, seed=9
         )
@@ -422,7 +416,7 @@ class TestCovarianceProfile:
     def test_discrete_exact_independence_beyond_horizon(self):
         g = gen_lattice_box(1, 10).graph  # path of 21
         marks = np.random.default_rng(23).integers(0, 2, g.vertex_count)
-        model = builtin_model("voter")
+        model = voter_model()
         k = 2
         prof = covariance_decay_profile(
             g,
@@ -443,36 +437,18 @@ class TestCovarianceProfile:
 
     def test_replica_floor(self):
         g = K2
-        model = builtin_model("voter")
+        model = voter_model()
         with pytest.raises(ValueError):
             covariance_decay_profile(
                 g, np.array([0, 1]), model, [([0], [1], 1)], lambda p: 0.0, 2, 50, seed=1
             )
 
 
-class TestTrajectorySerialization:
-    def test_csv_discrete(self, tmp_path):
-        model = builtin_model("voter")
-        ts = simulate_discrete(TRIANGLE, np.array([0, 1, 1]), model, 2, seed=1)
-        p = tmp_path / "t.csv"
-        ts.to_csv(p)
-        lines = p.read_text().strip().split("\n")
-        assert lines[0] == "vertex,time,state"
-        assert len(lines) == 1 + 3 * 3
-
-    def test_csv_vector(self, tmp_path):
-        model = builtin_model("consensus_sde", sigma0=0.1)
-        ts = simulate_diffusion(K2, np.array([1.0, -1.0]), model, 0.1, 0.05, seed=1)
-        p = tmp_path / "t.csv"
-        ts.to_csv(p)
-        assert p.read_text().startswith("vertex,time,x0")
-
-
 class TestEngineBoundary:
     @pytest.mark.parametrize("horizon, dt", [(1.0, 0.3), (0.25, 0.1)])
     def test_horizon_not_a_multiple_of_dt_raises(self, horizon, dt):
         # 1.0 with dt 0.3 used to end silently at 0.8999999999999999
-        model = builtin_model("consensus_sde", sigma0=0.5)
+        model = consensus_sde_model(sigma0=0.5)
         marks = np.array([1.0, -1.0])
         with pytest.raises(ValueError, match="whole number of steps"):
             simulate_diffusion(K2, marks, model, horizon, dt, seed=1)
@@ -493,7 +469,7 @@ class TestEngineBoundary:
         g = gen_lattice_box(1, 4).graph
         marks = np.zeros(g.vertex_count, dtype=np.int64)
         marks[3] = bad
-        model = builtin_model("voter")
+        model = voter_model()
         if scalar:
             model = dataclasses.replace(model, batch_step=None)
         with pytest.raises(ValueError, match="alphabet|lie in"):
@@ -504,10 +480,10 @@ class TestEngineBoundary:
         marks = np.zeros(g.vertex_count, dtype=np.int64)
         marks[0] = 2
         with pytest.raises(ValueError, match="lie in"):
-            replica_paths_discrete(g, marks, builtin_model("voter"), 3, seed=1, replicas=2, record=[0])
+            replica_paths_discrete(g, marks, voter_model(), 3, seed=1, replicas=2, record=[0])
 
     def test_float_marks_are_not_symbols(self):
-        model = dataclasses.replace(builtin_model("noisy_majority", epsilon=0.0), batch_step=None)
+        model = dataclasses.replace(noisy_majority_model(epsilon=0.0), batch_step=None)
         ts = simulate_discrete(TRIANGLE, np.array([0.0, 1.0, 1.0]), model, 2, seed=1)
         assert ts.paths.dtype == np.float64
 
@@ -516,7 +492,7 @@ class TestEngineBoundary:
     def test_vertex_indices_out_of_range_raise(self, entry, bad):
         # -1 used to record vertex 2 of this 3-vertex graph; 5 died late with a bare IndexError
         g = Graph.from_edges(3, [(0, 1)])
-        voter, sde = builtin_model("voter"), builtin_model("consensus_sde", sigma0=0.5)
+        voter, sde = voter_model(), consensus_sde_model(sigma0=0.5)
         calls = {
             "replica_discrete": lambda: replica_paths_discrete(g, [0, 1, 1], voter, 2, 1, 2, [bad]),
             "replica_diffusion": lambda: replica_paths_diffusion(g, [0.0, 1.0, 1.0], sde, 0.2, 0.1, 1, 2,
@@ -529,9 +505,9 @@ class TestEngineBoundary:
 
     def test_marks_are_required_on_a_plain_graph(self):
         # used to die with IndexError: tuple index out of range
-        for run in (lambda: simulate_discrete(TRIANGLE, None, builtin_model("voter"), 2, seed=1),
-                    lambda: simulate(TRIANGLE, None, builtin_model("voter"), 2, 1),
-                    lambda: simulate(TRIANGLE, None, builtin_model("consensus_sde"), 0.2, 1, dt=0.1)):
+        for run in (lambda: simulate_discrete(TRIANGLE, None, voter_model(), 2, seed=1),
+                    lambda: simulate(TRIANGLE, None, voter_model(), 2, 1),
+                    lambda: simulate(TRIANGLE, None, consensus_sde_model(), 0.2, 1, dt=0.1)):
             with pytest.raises(ValueError, match="marks are required"):
                 run()
 
@@ -553,7 +529,7 @@ class TestEngineBoundary:
     def test_marks_of_the_wrong_length_raise_in_every_engine(self, marks):
         # the replica engines used to fail inside numpy (a matmul or reshape error)
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        voter, sde = builtin_model("voter"), builtin_model("kuramoto", sigma0=0.5)
+        voter, sde = voter_model(), kuramoto_model(sigma0=0.5)
         fmarks = np.asarray(marks, dtype=np.float64)
         for run in (lambda: simulate_discrete(g, marks, voter, 2, 1),
                     lambda: replica_paths_discrete(g, marks, voter, 2, 1, 2, [0]),

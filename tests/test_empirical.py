@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import sparsedyn
-from sparsedyn.dynamics import builtin_model, simulate_discrete
+from sparsedyn.dynamics import consensus_sde_model, simulate_discrete, voter_model
 from sparsedyn.empirical import (
     EmpiricalMeasure,
     bernoulli_init,
     component_empirical,
     component_functional_distribution,
     constant_init,
+    diffusion_depth_sensitivity,
     ergodicity_variance_curve,
     fixed_graph_sampler,
     frequency_tv,
@@ -28,6 +29,7 @@ from sparsedyn.empirical import (
     trajectory_frequencies,
     tv_discrete,
     ugw_forest_sampler,
+    uniform_box_init,
     wasserstein1_paths,
 )
 from sparsedyn.graphs import (
@@ -49,7 +51,7 @@ def measure_from(paths, kind="discrete"):
 class TestEmpiricalBasics:
     def test_single_vertex_point_mass(self):
         g = Graph.from_edges(1, [])
-        ts = simulate_discrete(g, np.array([1]), builtin_model("voter"), 3, seed=1)
+        ts = simulate_discrete(g, np.array([1]), voter_model(), 3, seed=1)
         m = global_empirical(ts)
         assert m.count == 1
         assert np.all(m.samples == 1)
@@ -66,7 +68,7 @@ class TestEmpiricalBasics:
     def test_component_restriction(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
         marks = np.array([1, 1, 1, 0, 0])
-        ts = simulate_discrete(g, marks, builtin_model("voter"), 2, seed=2)
+        ts = simulate_discrete(g, marks, voter_model(), 2, seed=2)
         comp = component_of(g, 3)
         m = component_empirical(ts, comp)
         assert m.count == 2
@@ -74,14 +76,14 @@ class TestEmpiricalBasics:
 
     def test_connected_component_equals_global(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        ts = simulate_discrete(g, np.array([0, 1, 0]), builtin_model("voter"), 2, seed=3)
+        ts = simulate_discrete(g, np.array([0, 1, 0]), voter_model(), 2, seed=3)
         comp = component_of(g, 0)
         assert tv_discrete(component_empirical(ts, comp), global_empirical(ts)) == 0.0
 
     def test_components_reweighted_reproduce_global(self):
         g = gen_erdos_renyi(60, 0.02, seed=4)
         marks = np.random.default_rng(0).integers(0, 2, 60)
-        ts = simulate_discrete(g, marks, builtin_model("voter"), 3, seed=5)
+        ts = simulate_discrete(g, marks, voter_model(), 3, seed=5)
         seen = set()
         parts = []
         for v in range(60):
@@ -97,7 +99,7 @@ class TestEmpiricalBasics:
 
     def test_component_mismatch_rejected(self):
         g = Graph.from_edges(3, [(0, 1)])
-        ts = simulate_discrete(g, np.array([0, 1, 0]), builtin_model("voter"), 1, seed=1)
+        ts = simulate_discrete(g, np.array([0, 1, 0]), voter_model(), 1, seed=1)
         with pytest.raises(ValueError):
             component_empirical(ts, RootedGraph(Graph(((),)), 0))  # no origin
 
@@ -176,8 +178,9 @@ class TestMixFrequencies:
 class TestWasserstein:
     def test_identical_zero(self):
         gen = np.random.default_rng(2)
-        a = EmpiricalMeasure(gen.normal(0, 1, (30, 5)), np.linspace(0, 1, 5), "vector")
-        assert wasserstein1_paths(a, a, t=1.0, seed=7) == 0.0
+        for rows in (30, 1000):  # 1000 exceeds max_samples, so both sides are subsampled
+            a = EmpiricalMeasure(gen.normal(0, 1, (rows, 5)), np.linspace(0, 1, 5), "vector")
+            assert wasserstein1_paths(a, a, t=1.0, seed=7) == 0.0
 
     def test_constant_point_masses(self):
         times = np.linspace(0, 1, 4)
@@ -187,12 +190,13 @@ class TestWasserstein:
 
     def test_translation(self):
         gen = np.random.default_rng(3)
-        base = gen.normal(0, 1, (40, 6))
         delta = 0.75
         times = np.linspace(0, 1, 6)
-        a = EmpiricalMeasure(base, times, "vector")
-        b = EmpiricalMeasure(base + delta, times, "vector")
-        assert abs(wasserstein1_paths(a, b, t=1.0, seed=1) - delta) < 1e-9
+        for rows in (40, 1000):
+            base = gen.normal(0, 1, (rows, 6))
+            a = EmpiricalMeasure(base, times, "vector")
+            b = EmpiricalMeasure(base + delta, times, "vector")
+            assert abs(wasserstein1_paths(a, b, t=1.0, seed=1) - delta) < 1e-9
 
     def test_triangle_inequality(self):
         gen = np.random.default_rng(4)
@@ -216,7 +220,7 @@ class TestRootLawMonteCarlo:
     def test_single_vertex_trees(self):
         sampler = fixed_graph_sampler(RootedGraph(Graph(((),)), 0))
         m = root_law_monte_carlo(
-            sampler, bernoulli_init(0.7), builtin_model("voter"), 3, 4000, seed=5
+            sampler, bernoulli_init(0.7), voter_model(), 3, 4000, seed=5
         )
         ones = float(np.mean(m.samples[:, 0] == 1))
         assert abs(ones - 0.7) < 0.03
@@ -225,7 +229,7 @@ class TestRootLawMonteCarlo:
 
     def test_depth_stability_discrete(self):
         rho = poisson_dist(1.5)
-        model = builtin_model("voter")
+        model = voter_model()
         k = 2
         base = root_law_monte_carlo(
             ugw_forest_sampler(rho, k), bernoulli_init(0.5), model, k, 4000, seed=6
@@ -237,7 +241,7 @@ class TestRootLawMonteCarlo:
 
     def test_batching_invariance_of_law(self):
         rho = poisson_dist(1.0)
-        model = builtin_model("voter")
+        model = voter_model()
         a = root_law_monte_carlo(
             gw_forest_sampler(rho, 2), bernoulli_init(0.5), model, 2, 3000, seed=8
         )
@@ -246,6 +250,17 @@ class TestRootLawMonteCarlo:
             batch_size=700,
         )
         assert tv_discrete(a, b) < 0.06
+
+    @pytest.mark.parametrize("replicas", [200, 2000])
+    def test_diffusion_depth_sensitivity_is_small(self, replicas):
+        # base and deeper runs share seeds, so their root paths are coupled row by
+        # row and differ only by what vertices past depth 3 feed in over 5 steps
+        base, shift = diffusion_depth_sensitivity(
+            poisson_dist(2.0), uniform_box_init(-1.0, 1.0), consensus_sde_model(sigma0=0.5),
+            0.5, 0.1, 3, replicas, seed=7,
+        )
+        assert base.count == replicas
+        assert 0.0 <= shift < 1e-3
 
 
 class TestGiantFraction:
@@ -267,7 +282,7 @@ class TestComponentFunctional:
         vals = component_functional_distribution(
             lambda s: gen_erdos_renyi(50, 1.0 / 50, s),
             bernoulli_init(0.5),
-            builtin_model("voter"),
+            voter_model(),
             lambda block: np.ones(block.shape[1]),
             2,
             120,
@@ -279,7 +294,7 @@ class TestComponentFunctional:
 class TestShiftAverage:
     def make_ts(self, marks, k=0):
         rg = gen_lattice_box(2, 6)
-        return simulate_discrete(rg.graph, marks, builtin_model("voter"), k, seed=4)
+        return simulate_discrete(rg.graph, marks, voter_model(), k, seed=4)
 
     def test_constant_configuration(self):
         rg = gen_lattice_box(2, 6)
@@ -301,7 +316,7 @@ class TestShiftAverage:
         for rep in range(200):
             rg = gen_lattice_box(2, 6)
             marks = np.random.default_rng(100 + rep).integers(0, 2, rg.graph.vertex_count)
-            ts = simulate_discrete(rg.graph, marks, builtin_model("voter"), 0, seed=rep)
+            ts = simulate_discrete(rg.graph, marks, voter_model(), 0, seed=rep)
             rows.append(shift_average(ts, lambda block: float(block[0, 0]), 0, box_sizes))
         curve = ergodicity_variance_curve(rows, box_sizes)
         # single-site Bernoulli(1/2): exact variance 0.25 / |B_m|
@@ -319,7 +334,7 @@ class TestShiftAverage:
         for rep in range(25):
             rg = gen_lattice_box(2, 4)
             marks = np.ones(rg.graph.vertex_count, dtype=np.int64)
-            ts = simulate_discrete(rg.graph, marks, builtin_model("voter"), 2, seed=rep)
+            ts = simulate_discrete(rg.graph, marks, voter_model(), 2, seed=rep)
             rows.append(shift_average(ts, lambda block: float(block[-1, 0]), 0, [1, 2]))
         curve = ergodicity_variance_curve(rows, [1, 2])
         assert curve[0][1] == 0.0 and curve[1][1] == 0.0

@@ -335,18 +335,6 @@ class TestInvariantsAndSerialization:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 5)])
 
-    def test_edgelist_roundtrip(self, tmp_path):
-        g = gen_erdos_renyi(40, 0.1, seed=9)
-        path = tmp_path / "g.txt"
-        graphs.write_edgelist(g, path)
-        g2 = graphs.read_edgelist(path)
-        assert g2.adjacency == g.adjacency
-        rg = gen_regular_tree(3, 2)
-        graphs.write_edgelist(rg, path)
-        rg2 = graphs.read_edgelist(path)
-        assert isinstance(rg2, RootedGraph)
-        assert rg2.root == rg.root and rg2.graph.adjacency == rg.graph.adjacency
-
     def test_pair_decode_matches_bruteforce(self):
         n = 9
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]

@@ -417,13 +417,6 @@ class TestHistograms:
         for a, b, c in itertools.permutations(hists, 3):
             assert histogram_tv(a, c) <= histogram_tv(a, b) + histogram_tv(b, c) + 1e-12
 
-    def test_csv_roundtrip(self, tmp_path):
-        h = neighborhood_histogram(path_graph(6), 1)
-        p = tmp_path / "h.csv"
-        h.to_csv(p)
-        h2 = BallHistogram.from_csv(p, 1)
-        assert h2.counts == h.counts and h2.total == h.total
-
 
 class TestLwDeficiency:
     def test_point_mass_limit(self):
