@@ -1,16 +1,19 @@
 """Rooted-ball isomorphism codes, local metrics, and neighborhood statistics.
 
-Canonical codes realize isomorphism classes of rooted graphs: trees of any
-size get an AHU-style code, general graphs up to a small size cap get a
-minimal root-preserving adjacency encoding found by pruned backtracking.
-Every rooted graph and every radius-r ball is coded by ``_ball_code_from``,
-from one walk of the ball (``_ball``).
+Every code and local metric starts from one walk of the ball (``_ball``),
+which peels it: the non-root leaves are stripped repeatedly, and each
+vertex gets the AHU code of the tree hanging from it.  What is left is the
+core.  A tree ball's core is its root alone, and its code is the root's
+AHU code (prefix ``(``).  A cyclic ball is coded by a pruned placement
+search over its core alone, whose vertices carry their hanging-tree codes
+(prefix ``G``).  The placements that attain the code are also the core
+isomorphisms the marked local metric minimizes over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -18,122 +21,120 @@ from scipy.sparse import csgraph
 
 from . import rng
 from .empirical import frequency_tv
-from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, _induced_rooted
+from .graphs import Graph, MarkedGraph, RootedGraph, _bfs
 
 GENERAL_CODE_CAP = 64
 MARKED_ENUM_CAP = 12
 _EFFORT_CAP = 500_000
 
 BallCode = bytes
+# BFS order, hanging children and hanging-tree codes by position, core adjacency
+Ball = tuple[list[int], list[list[int]], list[bytes], dict[int, list[int]]]
 
 
 class CodeSizeError(ValueError):
     """General-graph canonical encoding requested above the supported size."""
 
 
-def _ball(g: Graph, v: int, r: int | None) -> tuple[list[int], list[list[int]], list[bytes] | None]:
-    """The radius-r ball around ``v`` (v's whole component when ``r`` is None).
+def _ball(g: Graph, v: int, r: int | None) -> Ball:
+    """The radius-r ball around ``v`` (v's whole component when ``r`` is None), peeled.
 
-    Returns the ball's BFS order, the children of each vertex in it (its
-    neighbors one level further out, as positions in that order) and, when
-    the ball is a tree, the AHU code of the subtree below each position
-    (sorted child codes in parentheses); ``None`` when it has a cycle.  A
-    ball is a tree iff it holds 2(n - 1) adjacency entries.
+    Returns the ball's BFS order and, by position in that order, the
+    positions of the vertices hanging from it, the AHU code of the tree
+    hanging from it (sorted child codes in parentheses), and the core: each
+    position left mapped to its neighbors left.  One backward sweep of the
+    order strips every non-root vertex with one neighbor left.  No earlier
+    vertex is stripped yet, so that neighbor is its only one earlier in the
+    order, nearer the root; the vertices hanging below it lie further out,
+    come later, and are stripped already.  The ball is a tree iff its core
+    is the root alone, and then ``codes[0]`` is its AHU code.
     """
-    order, dist = _bfs(g, v, max_depth=r)
+    if r is not None and (not isinstance(r, (int, np.integer)) or r < 0):
+        raise ValueError(f"radius must be None or a whole number >= 0, got {r!r}")
+    order, _ = _bfs(g, v, max_depth=r)
     pos = {u: i for i, u in enumerate(order)}
     ptr, idx = g.csr_lists
-    kids: list[list[int]] = []
-    entries = 0
+    nbrs: list[list[int]] = []
     for u in order:
-        d = dist[u] + 1
-        ks = []
+        nb = []
         for w in idx[ptr[u] : ptr[u + 1]]:
-            dw = dist.get(w)
-            if dw is not None:
-                entries += 1
-                if dw == d:
-                    ks.append(pos[w])
-        kids.append(ks)
-    n = len(order)
-    if entries != 2 * (n - 1):
-        return order, kids, None
-    codes = [b""] * n
-    for i in range(n - 1, -1, -1):
-        codes[i] = b"(" + b"".join(sorted([codes[j] for j in kids[i]])) + b")"
-    return order, kids, codes
+            i = pos.get(w)
+            if i is not None:
+                nb.append(i)
+        nbrs.append(nb)
+    live = list(map(len, nbrs))  # neighbors not stripped yet
+    kids: list[list[int]] = [[] for _ in order]
+    codes = [b"()"] * len(order)
+    for i in range(len(order) - 1, -1, -1):
+        if kids[i]:
+            codes[i] = b"(" + b"".join(sorted([codes[j] for j in kids[i]])) + b")"
+        if i and live[i] == 1:
+            p = min(nbrs[i])
+            live[i] = 0
+            live[p] -= 1
+            kids[p].append(i)
+    core = {0: []}
+    if live[0]:  # a cycle is left
+        core = {i: [j for j in nbrs[i] if live[j]] for i, k in enumerate(live) if k}
+    return order, kids, codes, core
 
 
-def _ball_code_from(g: Graph, v: int, r: int | None) -> BallCode:
-    """Canonical code of the radius-r ball around ``v`` (r=None: v's component)."""
-    order, _, codes = _ball(g, v, r)
-    if codes is not None:
-        return codes[0]
-    return _general_code(_induced_rooted(g, order, v))
+def _general_code(ball: Ball) -> tuple[BallCode, list[list[int]]]:
+    """Canonical code of a peeled ball, and every core placement that attains it.
 
-
-def _swap_is_automorphism(adj: list[set[int]], u: int, w: int) -> bool:
-    return adj[u] - {w} == adj[w] - {u}
-
-
-def _general_code(rg: RootedGraph) -> bytes:
-    """Canonical root-preserving adjacency encoding by pruned backtracking.
-
-    Vertices are placed one position at a time, always choosing candidates
-    whose adjacency pattern to the placed prefix is extremal (new vertices
-    attach to the earliest possible placed vertex, a BFS-like layering), so a
-    connected graph branches only at genuine symmetries.  Candidates that are
-    interchangeable by a transposition automorphism are deduped.
+    A tree ball has the AHU code of its root and the one placement ``[0]``.
+    Otherwise core vertices are placed one slot at a time, the root first, by
+    pruned backtracking over the candidates of largest key: the adjacency
+    bits to the placed prefix (earlier slots in higher bits, so new vertices
+    attach to the earliest possible placed vertex, a BFS-like layering), then
+    the code of the tree hanging from the candidate.  The code is the largest
+    key sequence, which fixes the core and its hanging trees.  Any two
+    placements attaining it match the cores of two balls with equal codes
+    slot by slot, and every root-preserving isomorphism of the cores that
+    keeps hanging trees of equal shape arises this way.
     """
-    g = rg.graph
-    n = g.vertex_count
-    if n > GENERAL_CODE_CAP:
-        raise CodeSizeError(f"general-graph code supports <= {GENERAL_CODE_CAP} vertices, got {n}")
-    adj = [set(a) for a in g.adjacency]
-    best: list[int] | None = None
+    order, _, codes, core = ball
+    if len(core) == 1:
+        return codes[0], [[0]]
+    if len(core) > GENERAL_CODE_CAP:
+        raise CodeSizeError(f"general-graph code supports cores of <= {GENERAL_CODE_CAP} vertices, got {len(core)}")
+    best: list[tuple[int, bytes]] = []
+    placements: list[list[int]] = []
+    slot_of, rows = {0: 0}, [(0, codes[0])]
     effort = 0
 
-    def extend(slot_of: dict[int, int], rows: list[int]) -> None:
+    def extend() -> None:
         nonlocal best, effort
         effort += 1
         if effort > _EFFORT_CAP:
             raise RuntimeError("canonical encoding exceeded the effort cap")
-        if best is not None and rows < best[: len(rows)]:
+        if rows < best[: len(rows)]:
             return
-        if len(slot_of) == n:
-            if best is None or rows > best:
-                best = list(rows)
+        if len(slot_of) == len(core):
+            if rows > best:
+                best, placements[:] = list(rows), []
+            placements.append(list(slot_of))
             return
         i = len(slot_of)
-        bits_of = {}
-        for u in range(n):
-            if u in slot_of:
-                continue
-            bits = 0
-            for w in adj[u]:
-                j = slot_of.get(w)
-                if j is not None:
-                    bits |= 1 << (i - 1 - j)
-            bits_of[u] = bits
-        hi = max(bits_of.values())
-        chosen: list[int] = []
-        for u, bits in bits_of.items():
-            if bits != hi:
-                continue
-            if any(_swap_is_automorphism(adj, u, w) for w in chosen):
-                continue
-            chosen.append(u)
-        rows.append(hi)
-        for u in chosen:
-            slot_of[u] = i
-            extend(slot_of, rows)
-            del slot_of[u]
+        keys = {u: (sum(1 << (i - 1 - slot_of[w]) for w in nb if w in slot_of), codes[u])
+                for u, nb in core.items() if u not in slot_of}
+        top = max(keys.values())
+        rows.append(top)
+        for u, key in keys.items():
+            if key == top:
+                slot_of[u] = i
+                extend()
+                del slot_of[u]
         rows.pop()
 
-    extend({rg.root: 0}, [])
-    assert best is not None
-    body = b",".join(str(r).encode() for r in best)
-    return b"G" + str(n).encode() + b":" + body
+    extend()
+    body = b",".join(b"%d%s" % row for row in best)
+    return b"G%d:%s" % (len(order), body), placements
+
+
+def _ball_code_from(g: Graph, v: int, r: int | None) -> BallCode:
+    """Canonical code of the radius-r ball around ``v`` (r=None: v's component)."""
+    return _general_code(_ball(g, v, r))[0]
 
 
 def canonical_code(rg: RootedGraph) -> BallCode:
@@ -145,49 +146,6 @@ def rooted_isomorphic(a: RootedGraph, b: RootedGraph) -> bool:
     if a.vertex_count != b.vertex_count or a.graph.edge_count != b.graph.edge_count:
         return False
     return canonical_code(a) == canonical_code(b)
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism enumeration (used for marked distances on general graphs)
-# ---------------------------------------------------------------------------
-
-def _iter_isomorphisms(a: RootedGraph, b: RootedGraph) -> Iterator[dict[int, int]]:
-    """Yield all root-preserving isomorphisms a -> b (small graphs only)."""
-    ga, gb = a.graph, b.graph
-    n = ga.vertex_count
-    if n != gb.vertex_count or ga.edge_count != gb.edge_count:
-        return
-    if n > MARKED_ENUM_CAP:
-        raise CodeSizeError(f"isomorphism enumeration supports <= {MARKED_ENUM_CAP} vertices")
-    order_a, dist_a = _bfs(ga, a.root)
-    _, dist_b = _bfs(gb, b.root)
-    deg_a, deg_b = ga.degrees, gb.degrees
-    adj_b = [set(x) for x in gb.adjacency]
-    mapping: dict[int, int] = {}
-    used = set()
-
-    def place(pos: int) -> Iterator[dict[int, int]]:
-        if pos == n:
-            yield dict(mapping)
-            return
-        u = order_a[pos]
-        for v in range(n):
-            if v in used or dist_b[v] != dist_a[u] or deg_b[v] != deg_a[u]:
-                continue
-            ok = True
-            for w in ga.adjacency[u]:
-                img = mapping.get(w)
-                if img is not None and img not in adj_b[v]:
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = v
-                used.add(v)
-                yield from place(pos + 1)
-                del mapping[u]
-                used.remove(v)
-
-    yield from place(0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,70 +195,54 @@ def _bottleneck(cost: np.ndarray) -> float:
     return float(values[lo])
 
 
-def _tree_minmax_mark(a, b) -> float:
-    """min over shape-preserving isomorphisms of the max mark distance.
+def _tree_minmax_mark(a, b, u: int, v: int) -> float:
+    """min over shape-preserving isomorphisms of the max mark distance, for the
+    trees hanging from position ``u`` of ``a`` and ``v`` of ``b``.
 
-    ``a`` and ``b`` are tree balls as ``(children, AHU codes, marks)`` by BFS
-    position.  Bottom-up DP: subtrees can only map to subtrees of equal AHU
-    shape, and the min-max over children decomposes into a bottleneck
-    matching per shape group.
+    ``a`` and ``b`` are peeled balls as ``(hanging children, AHU codes,
+    marks)`` by BFS position, and the two trees have equal codes.  Bottom-up
+    DP: subtrees can only map to subtrees of equal AHU shape, and the min-max
+    over children decomposes into a bottleneck matching per shape group.
     """
     (kids_a, shape_a, marks_a), (kids_b, shape_b, marks_b) = a, b
-    if shape_a[0] != shape_b[0]:
-        return float("inf")
-
-    def solve(u: int, v: int) -> float:
-        groups: dict[bytes, tuple[list[int], list[int]]] = {}
-        for w in kids_a[u]:
-            groups.setdefault(shape_a[w], ([], []))[0].append(w)
-        for w in kids_b[v]:
-            groups[shape_b[w]][1].append(w)
-        # equal shapes have equal multisets of child shapes
-        value = mark_distance(marks_a[u], marks_b[v])
-        for ka, kb in groups.values():
-            cost = np.array([[solve(x, y) for y in kb] for x in ka], dtype=np.float64)
-            value = max(value, _bottleneck(cost))
-        return value
-
-    return solve(0, 0)
-
-
-def _general_minmax_mark(a: RootedGraph, marks_a, b: RootedGraph, marks_b) -> float:
-    best = float("inf")
-    for iso in _iter_isomorphisms(a, b):
-        worst = 0.0
-        for u, v in iso.items():
-            worst = max(worst, mark_distance(marks_a[u], marks_b[v]))
-            if worst >= best:
-                break
-        best = min(best, worst)
-        if best == 0.0:
-            break
-    return best
+    groups: dict[bytes, tuple[list[int], list[int]]] = {}
+    for w in kids_a[u]:
+        groups.setdefault(shape_a[w], ([], []))[0].append(w)
+    for w in kids_b[v]:
+        groups[shape_b[w]][1].append(w)
+    # equal shapes have equal multisets of child shapes
+    value = mark_distance(marks_a[u], marks_b[v])
+    for ka, kb in groups.values():
+        cost = np.array([[_tree_minmax_mark(a, b, x, y) for y in kb] for x in ka], dtype=np.float64)
+        value = max(value, _bottleneck(cost))
+    return value
 
 
 def d_star_marked(a: MarkedGraph, b: MarkedGraph, k_max: int) -> Interval:
     """Truncated marked local metric.
 
     Each radius contributes 2^-k * min(1, m_k), where m_k is the smallest, over
-    root-preserving ball isomorphisms, of the largest mark distance.
+    root-preserving ball isomorphisms, of the largest mark distance.  A ball
+    isomorphism is a core isomorphism (a tree ball has one) that maps the
+    trees hanging from matched core vertices onto each other, so m_k is the
+    min over core isomorphisms of the max over core vertices of the
+    hanging-tree DP.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     lower = 0.0
     for k in range(1, k_max + 1):
-        (order_a, kids_a, shape_a), (order_b, kids_b, shape_b) = (
-            _ball(a.graph, a.rooted.root, k), _ball(b.graph, b.rooted.root, k))
-        marks_a, marks_b = np.asarray(a.marks)[order_a], np.asarray(b.marks)[order_b]
-        if shape_a is not None and shape_b is not None:
-            m_k = _tree_minmax_mark((kids_a, shape_a, marks_a), (kids_b, shape_b, marks_b))
-        elif shape_a is None and shape_b is None:
-            ball_a = _induced_rooted(a.graph, order_a, a.rooted.root)
-            ball_b = _induced_rooted(b.graph, order_b, b.rooted.root)
-            same = _general_code(ball_a) == _general_code(ball_b)
-            m_k = _general_minmax_mark(ball_a, marks_a, ball_b, marks_b) if same else float("inf")
-        else:
-            m_k = float("inf")
+        ball_a, ball_b = _ball(a.graph, a.rooted.root, k), _ball(b.graph, b.rooted.root, k)
+        # every placement of a's core, read against one of b's, is a core isomorphism
+        (code_a, isos), (code_b, (image, *_)) = _general_code(ball_a), _general_code(ball_b)
+        m_k = float("inf")
+        if code_a == code_b:
+            if len(image) > MARKED_ENUM_CAP:
+                raise CodeSizeError(f"marked distances support cores of <= {MARKED_ENUM_CAP} vertices")
+            (order_a, kids_a, codes_a, _), (order_b, kids_b, codes_b, _) = ball_a, ball_b
+            ta = (kids_a, codes_a, np.asarray(a.marks)[order_a])
+            tb = (kids_b, codes_b, np.asarray(b.marks)[order_b])
+            m_k = min(max(_tree_minmax_mark(ta, tb, u, v) for u, v in zip(iso, image)) for iso in isos)
         lower += 2.0**-k * min(1.0, m_k)
     return Interval(lower, lower + 2.0**-k_max)
 
@@ -345,6 +287,8 @@ def histogram_tv(a: BallHistogram, b: BallHistogram) -> float:
     """Total variation distance between two ball histograms of equal radius."""
     if a.radius != b.radius:
         raise ValueError("histogram radii differ")
+    if not a.total or not b.total:
+        raise ValueError("histogram has total 0")
     return frequency_tv(a.frequencies(), b.frequencies())
 
 
@@ -360,6 +304,8 @@ def lw_deficiency(
     ``limit_ball_sampler`` receives a derived seed per draw and returns a rooted
     graph whose radius-r root ball is the quantity being compared.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     graph_hist = neighborhood_histogram(g, r)
     samples = (limit_ball_sampler(rng.stream_key(seed, i)) for i in range(n_samples))
     limit_hist = histogram_of_samples(samples, r)
@@ -375,6 +321,8 @@ def two_root_independence_gap(
     convergence in probability in the local weak sense, which is characterized
     by asymptotic independence of two uniformly rooted components.
     """
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
     gen = rng.generator(seed, 0x5452)
     pairs: list[tuple[BallCode, BallCode]] = []
     tally: dict[BallCode, int] = {}

@@ -26,16 +26,26 @@ def _as_u64(value) -> np.ndarray:
 
 
 def _mix(h: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on uint64 values (modular arithmetic intended)."""
+    """splitmix64 finalizer on uint64 values, in place on arrays (modular arithmetic intended)."""
     with np.errstate(over="ignore"):
-        h = (h ^ (h >> _U64(30))) * _MIX1
-        h = (h ^ (h >> _U64(27))) * _MIX2
-        return h ^ (h >> _U64(31))
+        h ^= h >> _U64(30)
+        h *= _MIX1
+        h ^= h >> _U64(27)
+        h *= _MIX2
+        h ^= h >> _U64(31)
+    return h
 
 
 def _fold(h: np.ndarray, value) -> np.ndarray:
+    """``_mix(h + golden + value)``, written into ``h`` once ``h`` has the broadcast shape."""
+    value = _as_u64(value)
     with np.errstate(over="ignore"):
-        return _mix(h + _GOLDEN + _as_u64(value))
+        if not value.ndim or h.shape == np.broadcast_shapes(h.shape, value.shape):
+            h += value
+        else:
+            h = h + value
+        h += _GOLDEN
+    return _mix(h)
 
 
 def stream_key(seed: int, *parts: int) -> int:
@@ -48,11 +58,15 @@ def stream_key(seed: int, *parts: int) -> int:
 
 
 def _hash_vsk(key: int, stream, vertex, step: int, slot) -> np.ndarray:
-    """uint64 hash of (key, stream, vertex, step, slot); all but key and step may be arrays."""
-    h = _fold(_as_u64(key), stream)
-    h = _fold(h, vertex)
-    h = _fold(h, step)
-    return _fold(h, slot)
+    """uint64 hash of (key, stream, vertex, step, slot); all but key and step may be arrays.
+
+    A part that widens the hash allocates its array once; every other fold
+    writes into that array in place.  Scalar inputs give a 0-d array.
+    """
+    h = np.array(_as_u64(key))  # a copy the hash owns
+    for value in (stream, vertex, step, slot):
+        h = _fold(h, value)
+    return h
 
 
 def uniform(key: int, vertex, step: int, *, stream=0, slot=0):
@@ -62,17 +76,30 @@ def uniform(key: int, vertex, step: int, *, stream=0, slot=0):
     produces the whole noise array of a time step.
     """
     h = _hash_vsk(key, stream, vertex, step, slot)
-    return (h >> _U64(11)).astype(np.float64) * _INV_2_53
+    h >>= _U64(11)
+    u = h.astype(np.float64)
+    u *= _INV_2_53
+    return u[()]  # a numpy scalar for scalar inputs
 
 
 def gauss(key: int, vertex, step: int, *, stream=0, slot=0):
     """Standard Gaussian draws indexed like :func:`uniform` (Box-Muller)."""
     h = _hash_vsk(key, stream, vertex, step, slot)
-    hi = (h >> _U64(32)).astype(np.float64)
-    lo = (h & _U64(0xFFFFFFFF)).astype(np.float64)
-    u1 = (hi + 1.0) * _INV_2_32
-    u2 = lo * _INV_2_32
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    # sqrt(-2 log u1) cos(2 pi u2) in place, rounding as that expression does
+    u1 = np.array(h >> _U64(32), dtype=np.float64)
+    h &= _U64(0xFFFFFFFF)
+    u2 = h.astype(np.float64)
+    del h
+    u1 += 1.0
+    u1 *= _INV_2_32
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= _INV_2_32
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1[()]
 
 
 def generator(seed: int, *parts: int) -> np.random.Generator:

@@ -284,7 +284,7 @@ CASES = {
 
 GOLDEN = {
     "ball": "7c8dcf1f51968744a299bc011894f7bfe3640939b64304f24d4f0cff4831e78f",
-    "canonical_codes": "df1046f622405acdb8bc60f76bce5a5428a373cc41edcc93507992013777d6ef",
+    "canonical_codes": "211ada93ca230eb13f526a7e178f826c3b2470e3280e34fbaee38ba3ec52540e",
     "canopy": "16631a2fea18fed62544d4b807a394f0613bccb360c2aa374afd8b15fa163300",
     "canopy_component": "aad60c4edd594cace5f5da712a73b372a0b2c0ef40abc391455ebc7538ccdb71",
     "component_functional": "b79bf8ddc7c55fd1e9697793240241684fafd0bc9606411aecd9e9c3e6e8173a",
@@ -303,7 +303,7 @@ GOLDEN = {
     "gnm_sparse": "83a2a3c4bcd94c7a4450ae0da2e6db104f8fe7a1cfad10ea4255f8911b8ba373",
     "lattice_box": "ad3f490503148e3b13ba309b526e49c35e25521a6b776aa3fbf21dcd11f42045",
     "limit_histogram": "f30b7119ff56b2a47ae2208d2fa57cf3f9ebaaeef4a48ce9abf6f12c9590d3dc",
-    "neighborhood_histogram": "f612c22848c80d356d9250d9798d28e43fb1ed603e1b7e17219b96f7b9b1eb89",
+    "neighborhood_histogram": "adb318c41e639d434c0ae1ab36a416f28f6ef3acf04617ef39d5aea0fedfee2f",
     "path_laws": "613e185b8b9f2764eb4b97708341552a77af7270d9accc50e8f8facc9f813541",
     "random_regular": "49fbb1417f36d1eae10477364bac92d58c9c52d025ad6efc6947d68a15973f6c",
     "regular_tree": "f77ca33399961bb46e99aea994282d65791d54bf0b02ba469359496e7f5d661b",

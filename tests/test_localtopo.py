@@ -13,6 +13,7 @@ from sparsedyn.graphs import (
     ball,
     component_of,
     gen_erdos_renyi,
+    gen_configuration_model,
     gen_lattice_box,
     gen_random_regular,
     gen_regular_tree,
@@ -183,6 +184,14 @@ def random_connected(n, extra, gen):
     return Graph.from_edges(n, sorted(edges))
 
 
+def poisson_cm(n, seed):
+    """Configuration model with i.i.d. Poisson(2) degrees (an even sum forced)."""
+    deg = np.minimum(np.random.default_rng(seed).poisson(2.0, n), n - 1)
+    if deg.sum() % 2:
+        deg[int(np.argmin(deg))] += 1
+    return gen_configuration_model(deg, seed)
+
+
 def relabeled(rg, gen):
     perm = gen.permutation(rg.vertex_count)
     return RootedGraph(Graph.from_edges(rg.vertex_count, perm[rg.graph.edges()]), int(perm[rg.root]))
@@ -237,6 +246,21 @@ class TestNetworkxOracle:
                     assert rooted_isomorphic(a, b) == outcomes[-1]
         assert any(outcomes) and not all(outcomes) and cyclic
 
+    def test_r3_balls_of_poisson_graphs(self):
+        outcomes, cyclic = [], 0
+        for seed in range(3):
+            g = poisson_cm(200, seed)
+            balls = [ball(component_of(g, v), 3) for v in range(g.vertex_count)]
+            cyclic += sum(b.graph.edge_count >= b.vertex_count for b in balls)
+            by_size = {}
+            for b in balls:
+                by_size.setdefault((b.vertex_count, b.graph.edge_count), []).append(b)
+            for group in by_size.values():
+                for a, b in itertools.combinations(group[:5], 2):
+                    outcomes.append(self.expected(a, b))
+                    assert rooted_isomorphic(a, b) == outcomes[-1]
+        assert any(outcomes) and not all(outcomes) and cyclic
+
 
 @st.composite
 def small_graphs(draw):
@@ -257,6 +281,94 @@ class TestBallCodeProperty:
             code = localtopo._ball_code_from(g, v, r)
             assert code == canonical_code(ball(component_of(g, v), r))
             assert code == localtopo._ball_code_from(moved, int(perm[v]), r)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+    def test_r3_balls_of_poisson_graphs(self, seed, rnd):
+        g = poisson_cm(120, seed)
+        perm = np.array(rnd.sample(range(g.vertex_count), g.vertex_count), dtype=np.int64)
+        moved = Graph.from_edges(g.vertex_count, perm[g.edges()])
+        for v in range(g.vertex_count):
+            code = localtopo._ball_code_from(g, v, 3)
+            assert code == canonical_code(ball(component_of(g, v), 3))
+            assert code == localtopo._ball_code_from(moved, int(perm[v]), 3)
+
+
+class TestPeeledCoder:
+    """Balls are coded from their core once the hanging trees are peeled."""
+
+    def test_every_ball_of_poisson_graphs_codes(self):
+        # at r >= 2 whole-ball searches gave up on such balls at the effort cap
+        cyclic = 0
+        for seed in range(3):
+            g = poisson_cm(1000, seed)
+            for r in (2, 3, 4):
+                cyclic += sum(localtopo._ball_code_from(g, v, r).startswith(b"G")
+                              for v in range(g.vertex_count))
+        assert cyclic > 1000
+
+    def test_tree_ball_core_is_the_root(self):
+        order, kids, codes, core = localtopo._ball(gen_regular_tree(3, 3).graph, 0, 2)
+        assert core == {0: []} and codes[0] == canonical_code(gen_regular_tree(3, 2))
+        assert sorted(i for ks in kids for i in ks) == list(range(1, len(order)))
+
+    def test_core_of_a_cycle_with_a_tail(self):
+        # a 4-cycle through the root, a path of 3 hanging from the far corner
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6)])
+        order, kids, codes, core = localtopo._ball(g, 0, None)
+        assert sorted(order[i] for i in core) == [0, 1, 2, 3]
+        assert codes[order.index(2)] == b"(((())))"
+
+    def test_marked_distance_on_a_large_ball_with_a_small_core(self):
+        # a triangle whose corners carry 4 leaves each: 15 vertices, core of 3
+        edges = [(0, 1), (1, 2), (2, 0)] + [(c, 3 + 4 * c + i) for c in range(3) for i in range(4)]
+        g = Graph.from_edges(15, edges)
+        marks = np.random.default_rng(7).uniform(0.0, 1.0, 15)
+        perm = np.random.default_rng(8).permutation(15)
+        moved = RootedGraph(Graph.from_edges(15, perm[g.edges()]), int(perm[1]))
+        a = MarkedGraph(RootedGraph(g, 1), marks)
+        b = MarkedGraph(moved, marks[np.argsort(perm)])
+        assert d_star_marked(a, b, 3).lower == 0.0
+        shifted = MarkedGraph(moved, marks[np.argsort(perm)] + 0.25)
+        assert abs(d_star_marked(a, shifted, 3).lower - 0.25 * (1 - 2.0**-3)) < 1e-12
+
+
+class TestRadiusCheck:
+    @pytest.mark.parametrize("r", [-1, 1.5, "2"])
+    def test_bad_radius_raises(self, r):
+        g = path_graph(4)
+        rooted = RootedGraph(g, 0)
+        with pytest.raises(ValueError, match="radius"):
+            neighborhood_histogram(g, r)
+        with pytest.raises(ValueError, match="radius"):
+            histogram_of_samples([rooted], r)
+        with pytest.raises(ValueError, match="radius"):
+            lw_deficiency(g, lambda s: rooted, r, 5, 0)
+        with pytest.raises(ValueError, match="radius"):
+            localtopo.two_root_independence_gap(lambda s: g, r, 5, 0)
+
+    def test_whole_radii_pass(self):
+        g = path_graph(4)
+        assert neighborhood_histogram(g, np.int64(1)).counts == neighborhood_histogram(g, 1).counts
+        assert len(neighborhood_histogram(g, 0).counts) == 1
+
+
+class TestEmptyHistograms:
+    def test_tv_of_an_empty_histogram_raises(self):
+        full = BallHistogram({b"A": 1}, 1, 1)
+        empty = histogram_of_samples([], 1)
+        for a, b in ((full, empty), (empty, full), (empty, empty)):
+            with pytest.raises(ValueError, match="total 0"):
+                histogram_tv(a, b)
+
+    def test_lw_deficiency_without_samples_raises(self):
+        single = RootedGraph(Graph(((),)), 0)
+        with pytest.raises(ValueError, match="n_samples"):
+            lw_deficiency(Graph.from_edges(4, []), lambda s: single, 2, 0, 0)
+
+    def test_two_root_gap_without_pairs_raises(self):
+        with pytest.raises(ValueError, match="n_pairs must be >= 1"):
+            localtopo.two_root_independence_gap(lambda s: path_graph(4), 1, 0, 0)
 
 
 class TestRootedIsomorphic:

@@ -29,3 +29,15 @@ def test_draws_ignore_batch_shape_and_vertex_order(draw, key, step, slot, vertic
     per_slot = np.stack([draw(key, v[None, :], step, stream=s[:, None], slot=j)
                          for j in range(slot, slot + 3)], axis=-1)
     assert np.array_equal(slots.view(np.uint64), per_slot.view(np.uint64))
+
+
+@pytest.mark.parametrize("draw", [rng.uniform, rng.gauss], ids=["uniform", "gauss"])
+def test_scalar_draws_and_inputs_left_alone(draw):
+    # the hash works in place on its own array: scalar inputs still give a
+    # numpy scalar, and the caller's index arrays are never written to
+    v = np.arange(5, dtype=np.uint64)
+    s = np.array([[3], [9]], dtype=np.uint64)
+    block = draw(11, v[None, :], 4, stream=s, slot=1)
+    assert np.array_equal(v, np.arange(5)) and np.array_equal(s, [[3], [9]])
+    one = draw(11, 2, 4, stream=9, slot=1)
+    assert isinstance(one, np.float64) and one.tobytes() == block[1, 2].tobytes()
