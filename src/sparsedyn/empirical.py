@@ -16,7 +16,7 @@ import numpy as np
 from scipy import optimize
 
 from . import rng
-from .dynamics import DecayProfile, DiffusionModel, TrajectorySet, distances_to, simulate
+from .dynamics import DecayProfile, DiffusionModel, TrajectorySet, simulate
 
 # not called here: kept bound because the benchmark's tracer patches these names
 from .dynamics import simulate_diffusion, simulate_discrete  # noqa: F401
@@ -95,14 +95,21 @@ def tv_discrete(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
 
 
 def trajectory_frequencies(m: EmpiricalMeasure, weights=None) -> dict[bytes, float]:
-    """Normalized (optionally weighted) frequencies of hashed discrete paths."""
+    """Normalized frequencies of hashed discrete paths, optionally weighted by
+    one finite nonnegative weight per sample (with a positive sum)."""
     if m.kind != "discrete":
         raise ValueError("trajectory_frequencies needs finite-alphabet trajectories")
     arr = np.ascontiguousarray(m.samples.astype(np.int64))
     if weights is None:
         return {key: c / len(arr) for key, c in Counter(row.tobytes() for row in arr).items()}
     weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (m.count,):
+        raise ValueError(f"weights must have shape ({m.count},), got {weights.shape}")
+    if not np.all(np.isfinite(weights)) or weights.min() < 0:
+        raise ValueError("weights must be finite and >= 0")
     total = float(weights.sum())
+    if total <= 0:
+        raise ValueError("weights must have a positive sum")
     out: dict[bytes, float] = {}
     for row, wv in zip(arr, weights):
         key = row.tobytes()
@@ -129,27 +136,25 @@ def mix_frequencies(parts) -> dict[bytes, float]:
     return out
 
 
-def wasserstein1_paths(
-    a: EmpiricalMeasure,
-    b: EmpiricalMeasure,
-    t: float,
-    max_samples: int = 256,
-    seed: int = 0,
-) -> float:
+W1_MAX_SAMPLES = 256
+
+
+def wasserstein1_paths(a: EmpiricalMeasure, b: EmpiricalMeasure, t: float, seed: int = 0) -> float:
     """W1 between subsampled path measures under the truncated sup metric.
 
-    Both measures are subsampled (without replacement) to the same count, the
-    pairwise cost is the sup distance over grid times <= t, and the exact
-    optimal assignment is solved with the Hungarian algorithm.  Measures of
-    equal count share one index set, which keeps row-coupled measures coupled
-    (so W1(a, a) is 0) and is still a uniform subsample of each.
+    Both measures are subsampled (without replacement) to the same count, at
+    most ``W1_MAX_SAMPLES``, the pairwise cost is the sup distance over grid
+    times <= t, and the exact optimal assignment is solved with the Hungarian
+    algorithm.  Measures of equal count share one index set, which keeps
+    row-coupled measures coupled (so W1(a, a) is 0) and is still a uniform
+    subsample of each.
     """
     if len(a.times) != len(b.times) or not np.array_equal(a.times, b.times):
         raise ValueError("time grids differ")
     keep = np.asarray(a.times, dtype=np.float64) <= t + 1e-12
     if not np.any(keep):
         raise ValueError("no grid times at or below t")
-    m = min(max_samples, a.count, b.count)
+    m = min(W1_MAX_SAMPLES, a.count, b.count)
     if m < 1:
         raise ValueError("nothing left after subsampling")
     gen = rng.generator(seed, 0x5731)
@@ -175,31 +180,27 @@ def wasserstein1_paths(
 # Limit-law Monte Carlo
 # ---------------------------------------------------------------------------
 
-def ugw_forest_sampler(rho: DegreeDist, depth: int, **kwargs) -> Callable[[int, int], Forest]:
+def ugw_forest_sampler(rho: DegreeDist, depth: int) -> Callable[[int, int], Forest]:
     """Batched sampler of limit trees: root law rho, later generations size-biased."""
     child = size_biased(rho) if rho.mean() > 0 else delta_dist(0)
-    return lambda count, seed: sample_forest(rho, child, depth, count, seed, **kwargs)
+    return lambda count, seed: sample_forest(rho, child, depth, count, seed)
 
 
-def gw_forest_sampler(offspring: DegreeDist, depth: int, **kwargs) -> Callable[[int, int], Forest]:
-    return lambda count, seed: sample_forest(offspring, offspring, depth, count, seed, **kwargs)
+def gw_forest_sampler(offspring: DegreeDist, depth: int) -> Callable[[int, int], Forest]:
+    return lambda count, seed: sample_forest(offspring, offspring, depth, count, seed)
 
 
 def fixed_graph_sampler(rg: RootedGraph) -> Callable[[int, int], Forest]:
     """Forest sampler that replicates one fixed rooted graph."""
     g = rg.graph
     n, nnz = g.vertex_count, len(g.indices)
-    template_depths = distances_to(g, [rg.root])
 
     def sample(count: int, seed: int) -> Forest:
         # copy i is the template's CSR shifted by i * n vertices and i * nnz entries
-        copy = np.arange(count, dtype=np.int64)[:, None]
-        indptr = np.append((g.indptr[:-1] + nnz * copy).ravel(), nnz * count)
-        graph = _from_csr(indptr, (g.indices + n * copy).ravel())
-        roots = rg.root + n * np.arange(count, dtype=np.int64)
-        depths = np.tile(template_depths, count)
-        tree_ids = np.repeat(np.arange(count, dtype=np.int64), n)
-        return Forest(graph, roots, np.zeros(count, dtype=bool), depths, tree_ids)
+        copy = np.arange(count, dtype=np.int64)
+        indptr = np.append((g.indptr[:-1] + nnz * copy[:, None]).ravel(), nnz * count)
+        graph = _from_csr(indptr, (g.indices + n * copy[:, None]).ravel())
+        return Forest(graph, rg.root + n * copy, np.zeros(count, dtype=bool))
 
     return sample
 
@@ -244,8 +245,12 @@ def root_law_monte_carlo(
 
     For discrete models with tree depth >= horizon the result is the exact
     root law (dynamics up to step k never see past the depth-k ball).  Batches
-    of trees are simulated as one disjoint-union graph.
+    of at most ``batch_size`` trees are simulated as one disjoint-union graph.
     """
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     samples = []
     times = None
     kind = None
@@ -265,6 +270,9 @@ def root_law_monte_carlo(
     return EmpiricalMeasure(np.concatenate(samples, axis=0), times, kind)
 
 
+DEPTH_BUMP = 2
+
+
 def diffusion_depth_sensitivity(
     rho: DegreeDist,
     init_sampler,
@@ -274,16 +282,14 @@ def diffusion_depth_sensitivity(
     depth: int,
     replicas: int,
     seed: int,
-    *,
-    depth_bump: int = 2,
 ) -> tuple[EmpiricalMeasure, float]:
     """Root law at truncation ``depth`` plus the W1 shift from re-running at
-    ``depth + depth_bump`` (diffusions have no exact-locality radius)."""
+    ``depth + DEPTH_BUMP`` (diffusions have no exact-locality radius)."""
     base = root_law_monte_carlo(
         ugw_forest_sampler(rho, depth), init_sampler, model, horizon, replicas, seed, dt=dt
     )
     deeper = root_law_monte_carlo(
-        ugw_forest_sampler(rho, depth + depth_bump), init_sampler, model, horizon, replicas, seed, dt=dt
+        ugw_forest_sampler(rho, depth + DEPTH_BUMP), init_sampler, model, horizon, replicas, seed, dt=dt
     )
     shift = wasserstein1_paths(base, deeper, t=horizon, seed=seed)
     return base, shift
@@ -371,6 +377,8 @@ def shift_average(
     ``f`` reads the (T+1, (2w+1)^dim) path block of the window centered at the
     shift.  Every box plus the window must fit inside the simulated lattice.
     """
+    if window_radius < 0:
+        raise ValueError("window_radius must be >= 0")
     n = _lattice_geometry(ts, dim)
     side = 2 * n + 1
     w = window_radius

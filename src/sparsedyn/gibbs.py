@@ -159,11 +159,11 @@ def _enumerate(g: Graph, spec: GibbsSpec, region: tuple, boundary: dict[int, int
     return ExactGibbs(configs, weights / z, math.log(z) + float(peak), a)
 
 
-def exact_gibbs(g: Graph, spec: GibbsSpec, *, state_cap: int = EXACT_STATE_CAP) -> ExactGibbs:
+def exact_gibbs(g: Graph, spec: GibbsSpec) -> ExactGibbs:
     """Enumerate all |alphabet|^n configurations and normalize."""
     count = spec.size**g.vertex_count
-    if count > state_cap:
-        raise ValueError(f"state space of size {count} exceeds the cap {state_cap}")
+    if count > EXACT_STATE_CAP:
+        raise ValueError(f"state space of size {count} exceeds the cap {EXACT_STATE_CAP}")
     return _enumerate(g, spec, tuple(range(g.vertex_count)), {})
 
 
@@ -178,14 +178,7 @@ def boundary_of(g: Graph, region) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def conditional_kernel(
-    g: Graph,
-    spec: GibbsSpec,
-    region,
-    boundary: dict[int, int],
-    *,
-    state_cap: int = KERNEL_STATE_CAP,
-) -> ExactGibbs:
+def conditional_kernel(g: Graph, spec: GibbsSpec, region, boundary: dict[int, int]) -> ExactGibbs:
     """Conditional law on a region given symbols on its full boundary.
 
     Weights multiply psi over edges inside the region and from the region to
@@ -196,8 +189,8 @@ def conditional_kernel(
     if set(boundary) != set(need):
         raise ValueError(f"boundary must cover exactly {need}")
     count = spec.size ** len(region)
-    if count > state_cap:
-        raise ValueError(f"conditional state space {count} exceeds the cap {state_cap}")
+    if count > KERNEL_STATE_CAP:
+        raise ValueError(f"conditional state space {count} exceeds the cap {KERNEL_STATE_CAP}")
     return _enumerate(g, spec, region, boundary)
 
 
@@ -216,10 +209,7 @@ def glauber_sample(
     Each sweep resamples every vertex once, in a fresh uniformly random order,
     from its single-site conditional kernel.  Initial state is i.i.d. lambda.
     """
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    out = glauber_trace(g, spec, sweeps, burn_in, seed, record_every=0)
-    return out[-1]
+    return glauber_trace(g, spec, sweeps, burn_in, seed, record_every=0)[-1]
 
 
 def glauber_trace(
@@ -233,6 +223,8 @@ def glauber_trace(
 ) -> np.ndarray:
     """Run one Glauber chain, recording configurations every ``record_every`` sweeps
     after burn-in (``record_every=0`` keeps only the final state)."""
+    if sweeps < 1:
+        raise ValueError("sweeps must be >= 1")
     n = g.vertex_count
     gen = rng.generator(seed, 0x474C)
     lam_cdf = np.cumsum(spec.lam)

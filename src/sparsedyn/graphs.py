@@ -6,7 +6,7 @@ compressed sparse row (CSR) form: two read-only int64 arrays, ``indptr`` and
 arrays with numpy; the tuple-of-tuples ``adjacency`` is a view derived on
 first use.  Instances are immutable after construction and safe to share
 across threads.  Generators are deterministic functions of their arguments
-and the seed.
+and the seed, and refuse to build more than ``SIZE_CAP`` vertices.
 """
 
 from __future__ import annotations
@@ -22,16 +22,16 @@ from scipy.sparse import csgraph
 
 from . import rng
 
-DEFAULT_SIZE_CAP = 10**7
+SIZE_CAP = 10**7
 
 
 class SizeCapError(ValueError):
-    """Requested deterministic graph exceeds the configured vertex cap."""
+    """Requested graph exceeds the vertex cap ``SIZE_CAP``."""
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise SizeCapError(f"graph would have {n} vertices, above the cap of {cap}")
+def _check_cap(n: int) -> None:
+    if n > SIZE_CAP:
+        raise SizeCapError(f"graph would have {n} vertices, above the cap of {SIZE_CAP}")
 
 
 def _frozen(a) -> np.ndarray:
@@ -52,20 +52,20 @@ class Graph:
     arrays.
 
     ``erased_fallback`` marks configuration-model outputs that needed the
-    erasure fallback (self-loops dropped, multi-edges collapsed); it takes no
-    part in equality.
+    erasure fallback (self-loops dropped, multi-edges collapsed); only that
+    generator sets it, and it takes no part in equality.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     erased_fallback: bool
 
-    def __init__(self, adjacency, erased_fallback: bool = False):
+    def __init__(self, adjacency):
         indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
         np.cumsum([len(a) for a in adjacency], out=indptr[1:])
         indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=int(indptr[-1]))
         _check_csr(indptr, indices, ValueError)
-        self._set(indptr, indices, erased_fallback)
+        self._set(indptr, indices, False)
 
     def _set(self, indptr, indices, erased_fallback) -> None:
         object.__setattr__(self, "indptr", _frozen(indptr))
@@ -94,10 +94,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.indices) // 2
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbors of ``v``, a read-only view of ``indices``."""
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -132,7 +128,7 @@ class Graph:
         return np.stack([src[keep], self.indices[keep]], axis=1)
 
     @staticmethod
-    def from_edges(n: int, edges, *, erased_fallback: bool = False) -> "Graph":
+    def from_edges(n: int, edges) -> "Graph":
         """Build and validate a graph from an iterable of (u, v) pairs."""
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
         arr = arr.reshape(-1, 2)
@@ -146,7 +142,7 @@ class Graph:
             keys = lo * n + hi
             if np.unique(keys).size != keys.size:
                 raise ValueError("duplicate edge in edge list")
-        return _from_edge_arrays(n, arr, erased_fallback=erased_fallback)
+        return _from_edge_arrays(n, arr)
 
     def validate(self) -> None:
         """Recheck all structural invariants (used by tests)."""
@@ -241,14 +237,16 @@ class MarkedGraph:
 
 
 def _bfs(g: Graph, start: int, max_depth: int | None = None) -> tuple[list[int], dict[int, int]]:
-    """Vertices within ``max_depth`` hops of ``start`` in BFS order, and their distances.
+    """Vertices within ``max_depth`` hops of ``start`` in BFS order, and each
+    one's position in that order.
 
     Neighbors are visited in increasing index order.  The cost is that of the
-    reached part only, so tiny balls of large graphs stay cheap.
+    reached part only, so tiny balls of large graphs stay cheap.  For
+    distances, use ``dynamics.distances_to``.
     """
     ptr, idx = g.csr_lists
     start = int(start)
-    dist = {start: 0}
+    pos = {start: 0}
     order = [start]
     lo, depth = 0, 0
     while lo < len(order) and (max_depth is None or depth < max_depth):
@@ -256,11 +254,11 @@ def _bfs(g: Graph, start: int, max_depth: int | None = None) -> tuple[list[int],
         hi = len(order)
         for u in order[lo:hi]:
             for w in idx[ptr[u] : ptr[u + 1]]:
-                if w not in dist:
-                    dist[w] = depth
+                if w not in pos:
+                    pos[w] = len(order)
                     order.append(w)
         lo = hi
-    return order, dist
+    return order, pos
 
 
 def _induced_rooted(g: Graph, vertices: list[int], root: int) -> RootedGraph:
@@ -281,13 +279,13 @@ def _induced_rooted(g: Graph, vertices: list[int], root: int) -> RootedGraph:
 # Random generators
 # ---------------------------------------------------------------------------
 
-def gen_erdos_renyi(n: int, p: float, seed: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
+def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each unordered pair is an edge independently with probability p."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    _check_cap(n, size_cap)
+    _check_cap(n)
     if p == 0.0 or n == 1:
         return _from_edge_arrays(n, ())
     if p == 1.0:
@@ -320,14 +318,14 @@ def _pair_decode(idx: np.ndarray, n: int) -> np.ndarray:
     return np.stack([u, u + 1 + (idx - starts[u])], axis=1)
 
 
-def gen_gnm(n: int, m: int, seed: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
+def gen_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform simple graph with exactly m edges on n labeled vertices."""
     if n < 1:
         raise ValueError("n must be >= 1")
     total = n * (n - 1) // 2
-    if m > total:
-        raise ValueError(f"m={m} exceeds the {total} available pairs")
-    _check_cap(n, size_cap)
+    if not 0 <= m <= total:
+        raise ValueError(f"m={m} outside [0, {total}], the available pairs")
+    _check_cap(n)
     gen = rng.generator(seed, 0x474D)
     if m == 0:
         return _from_edge_arrays(n, ())
@@ -345,9 +343,7 @@ def gen_gnm(n: int, m: int, seed: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> G
     return _from_edge_arrays(n, _pair_decode(np.sort(idx), n))
 
 
-def gen_configuration_model(
-    degrees, seed: int, *, max_pairing_attempts: int = 100, size_cap: int = DEFAULT_SIZE_CAP
-) -> Graph:
+def gen_configuration_model(degrees, seed: int, *, max_pairing_attempts: int = 100) -> Graph:
     """Uniform half-edge pairing conditioned on simplicity.
 
     The whole pairing is resampled up to ``max_pairing_attempts`` times until
@@ -366,7 +362,7 @@ def gen_configuration_model(
         raise ValueError("degree sum must be even")
     if max_pairing_attempts < 0:
         raise ValueError("max_pairing_attempts must be >= 0")
-    _check_cap(n, size_cap)
+    _check_cap(n)
     stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
     if stubs.size == 0:
         return _from_edge_arrays(n, ())
@@ -387,20 +383,20 @@ def gen_configuration_model(
     return _from_edge_arrays(n, np.stack([keys // n, keys % n], axis=1), erased_fallback=fallback)
 
 
-def gen_random_regular(n: int, k: int, seed: int, **kwargs) -> Graph:
+def gen_random_regular(n: int, k: int, seed: int) -> Graph:
     """Uniform k-regular graph via the configuration model."""
     if (n * k) % 2 != 0:
         raise ValueError("n*k must be even")
     if k >= n:
         raise ValueError("k must be < n")
-    return gen_configuration_model([k] * n, seed, **kwargs)
+    return gen_configuration_model([k] * n, seed)
 
 
 # ---------------------------------------------------------------------------
 # Deterministic graphs
 # ---------------------------------------------------------------------------
 
-def gen_lattice_box(dim: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> RootedGraph:
+def gen_lattice_box(dim: int, n: int) -> RootedGraph:
     """Box {-n..n}^dim with nearest-neighbor edges, rooted at the origin."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -408,7 +404,7 @@ def gen_lattice_box(dim: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> Ro
         raise ValueError("n must be >= 0")
     side = 2 * n + 1
     total = side**dim
-    _check_cap(total, size_cap)
+    _check_cap(total)
     shape = (side,) * dim
     edges = []
     idx = np.arange(total, dtype=np.int64).reshape(shape)
@@ -433,7 +429,7 @@ def lattice_coord(index: int, n: int, dim: int) -> tuple[int, ...]:
     return tuple(int(c) - n for c in np.unravel_index(index, (side,) * dim))
 
 
-def gen_regular_tree(k: int, height: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> RootedGraph:
+def gen_regular_tree(k: int, height: int) -> RootedGraph:
     """Rooted tree whose internal vertices have degree k and leaves sit at ``height``."""
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -445,7 +441,7 @@ def gen_regular_tree(k: int, height: int, *, size_cap: int = DEFAULT_SIZE_CAP) -
         total = 2 * height + 1
     else:
         total = 1 + k * ((k - 1) ** height - 1) // (k - 2)
-    _check_cap(total, size_cap)
+    _check_cap(total)
     # vertices are numbered level by level; each level's children follow
     # their parents' order
     parents = []
@@ -458,14 +454,7 @@ def gen_regular_tree(k: int, height: int, *, size_cap: int = DEFAULT_SIZE_CAP) -
     return RootedGraph(g, 0)
 
 
-def gen_canopy_truncation(
-    d: int,
-    levels: int,
-    base_width: int,
-    *,
-    root_level: int = 0,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> RootedGraph:
+def gen_canopy_truncation(d: int, levels: int, base_width: int, *, root_level: int = 0) -> RootedGraph:
     """Finite slab of the leaf-rooted limit of deep regular trees.
 
     Vertices are (i, j) for i = 0..levels with row widths
@@ -486,7 +475,7 @@ def gen_canopy_truncation(
     offsets = np.zeros(levels + 2, dtype=np.int64)
     np.cumsum(widths, out=offsets[1:])
     total = int(offsets[-1])
-    _check_cap(total, size_cap)
+    _check_cap(total)
     edges = []
     for i in range(levels):
         j = np.arange(widths[i], dtype=np.int64)
@@ -543,9 +532,3 @@ def ball(rg: RootedGraph, k: int) -> RootedGraph:
         raise ValueError("k must be >= 0")
     order, _ = _bfs(rg.graph, rg.root, max_depth=k)
     return _induced_rooted(rg.graph, order, rg.root)
-
-
-def validate_max_degree_growth(degrees, n: int, delta: float = 0.01) -> bool:
-    """Check max degree stays below n**(1/4 - delta); advisory for duality runs."""
-    deg = np.asarray(degrees)
-    return bool(deg.size == 0 or deg.max() < n ** (0.25 - delta))

@@ -23,8 +23,9 @@ from . import rng
 from .empirical import frequency_tv
 from .graphs import Graph, MarkedGraph, RootedGraph, _bfs
 
+# the placement search recurses once per core vertex; _EFFORT_CAP bounds its
+# leaves, and so the placements d_star_marked reads
 GENERAL_CODE_CAP = 64
-MARKED_ENUM_CAP = 12
 _EFFORT_CAP = 500_000
 
 BallCode = bytes
@@ -51,8 +52,7 @@ def _ball(g: Graph, v: int, r: int | None) -> Ball:
     """
     if r is not None and (not isinstance(r, (int, np.integer)) or r < 0):
         raise ValueError(f"radius must be None or a whole number >= 0, got {r!r}")
-    order, _ = _bfs(g, v, max_depth=r)
-    pos = {u: i for i, u in enumerate(order)}
+    order, pos = _bfs(g, v, max_depth=r)
     ptr, idx = g.csr_lists
     nbrs: list[list[int]] = []
     for u in order:
@@ -237,8 +237,6 @@ def d_star_marked(a: MarkedGraph, b: MarkedGraph, k_max: int) -> Interval:
         (code_a, isos), (code_b, (image, *_)) = _general_code(ball_a), _general_code(ball_b)
         m_k = float("inf")
         if code_a == code_b:
-            if len(image) > MARKED_ENUM_CAP:
-                raise CodeSizeError(f"marked distances support cores of <= {MARKED_ENUM_CAP} vertices")
             (order_a, kids_a, codes_a, _), (order_b, kids_b, codes_b, _) = ball_a, ball_b
             ta = (kids_a, codes_a, np.asarray(a.marks)[order_a])
             tb = (kids_b, codes_b, np.asarray(b.marks)[order_b])
@@ -339,7 +337,10 @@ def two_root_independence_gap(
     return abs(joint - p * p)
 
 
-def bounded_lipschitz_gap(xs, ys, funcs=None) -> float:
+_LIPSCHITZ_BATTERY = (np.tanh, np.sin, np.cos, lambda t: np.clip(t, -1.0, 1.0))
+
+
+def bounded_lipschitz_gap(xs, ys) -> float:
     """Largest gap in means over a battery of bounded Lipschitz functionals.
 
     A finite battery cannot certify weak convergence of marks, but it gives a
@@ -347,6 +348,4 @@ def bounded_lipschitz_gap(xs, ys, funcs=None) -> float:
     """
     xa = np.asarray(xs, dtype=np.float64).ravel()
     ya = np.asarray(ys, dtype=np.float64).ravel()
-    if funcs is None:
-        funcs = (np.tanh, np.sin, np.cos, lambda t: np.clip(t, -1.0, 1.0))
-    return max(abs(float(np.mean(f(xa))) - float(np.mean(f(ya)))) for f in funcs)
+    return max(abs(float(np.mean(f(xa))) - float(np.mean(f(ya)))) for f in _LIPSCHITZ_BATTERY)

@@ -32,6 +32,8 @@ class DegreeDist:
         object.__setattr__(self, "probabilities", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probabilities must be a nonempty vector")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if p.min() < -self.tail_tolerance:
             raise ValueError("negative probability")
         if abs(float(p.sum()) - 1.0) > max(self.tail_tolerance, 1e-9):
@@ -60,15 +62,15 @@ class DegreeDist:
         return np.cumsum(self.probabilities)
 
 
-def degree_dist(spec, tail_tolerance: float = 1e-12) -> DegreeDist:
+def degree_dist(spec) -> DegreeDist:
     """Build a DegreeDist from a dense sequence or a {k: prob} mapping."""
     if isinstance(spec, dict):
         k_max = max(spec)
         dense = np.zeros(k_max + 1)
         for k, p in spec.items():
             dense[k] = p
-        return DegreeDist(dense, tail_tolerance)
-    return DegreeDist(np.asarray(spec, dtype=np.float64), tail_tolerance)
+        return DegreeDist(dense)
+    return DegreeDist(np.asarray(spec, dtype=np.float64))
 
 
 POISSON_THETA_MAX = 1e6
@@ -82,8 +84,8 @@ def poisson_dist(theta: float, tail_tolerance: float = 1e-12) -> DegreeDist:
     that start has lost precision, so each term is computed in log space.
     The dense law has about theta entries, hence the cap ``POISSON_THETA_MAX``.
     """
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
+    if not math.isfinite(theta) or theta < 0:
+        raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
     if theta > POISSON_THETA_MAX:
         raise ValueError(f"theta={theta} above the supported maximum {POISSON_THETA_MAX:g}")
     if theta == 0:
@@ -138,21 +140,12 @@ def theta(rho: DegreeDist) -> float:
 
 @dataclass(frozen=True)
 class Forest:
-    """Disjoint union of sampled trees; roots listed per tree.
-
-    ``depths`` and ``tree_ids`` label every vertex with its generation and
-    the index of the tree it belongs to (known from construction, no BFS).
-    """
+    """Disjoint union of sampled trees: the graph, each tree's root, and
+    whether each tree stopped growing at its vertex budget."""
 
     graph: Graph
     roots: np.ndarray
     truncated: np.ndarray  # bool per tree: hit the vertex budget
-    depths: np.ndarray
-    tree_ids: np.ndarray
-
-    @property
-    def tree_count(self) -> int:
-        return len(self.roots)
 
 
 def _draw_counts(dist: DegreeDist, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -186,8 +179,6 @@ def sample_forest(
     truncated = np.zeros(count, dtype=bool)
     parents_all = []
     children_all = []
-    depth_blocks = [np.zeros(count, dtype=np.int64)]
-    tree_blocks = [roots.copy()]
     active = roots
     active_tree = roots.copy()
     next_id = count
@@ -218,16 +209,11 @@ def sample_forest(
         active_tree = np.repeat(active_tree, counts)
         active = children
         next_id += total
-        depth_blocks.append(np.full(total, gen_idx + 1, dtype=np.int64))
-        tree_blocks.append(active_tree.copy())
     if parents_all:
         edges = np.stack([np.concatenate(parents_all), np.concatenate(children_all)], axis=1)
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
-    graph = _from_edge_arrays(next_id, edges)
-    depths = np.concatenate(depth_blocks)
-    tree_ids = np.concatenate(tree_blocks)
-    return Forest(graph, roots, truncated, depths, tree_ids)
+    return Forest(_from_edge_arrays(next_id, edges), roots, truncated)
 
 
 def _single_tree(forest: Forest) -> RootedGraph:
@@ -242,18 +228,20 @@ def sample_ugw(
     return _single_tree(sample_forest(rho, child, depth, 1, seed, vertex_budget=vertex_budget))
 
 
-def sample_gw(
-    offspring: DegreeDist, depth: int, seed: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
-) -> RootedGraph:
+def sample_gw(offspring: DegreeDist, depth: int, seed: int) -> RootedGraph:
     """Branching tree with the same offspring law in every generation."""
-    return _single_tree(sample_forest(offspring, offspring, depth, 1, seed, vertex_budget=vertex_budget))
+    return _single_tree(sample_forest(offspring, offspring, depth, 1, seed))
 
 
 # ---------------------------------------------------------------------------
 # Criticality and duality
 # ---------------------------------------------------------------------------
 
-def extinction_root(rho: DegreeDist, tol: float = 1e-12, max_iter: int = 100_000) -> float:
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 100_000
+
+
+def extinction_root(rho: DegreeDist) -> float:
     """Smallest fixed point of the size-biased pgf h on [0, 1].
 
     h(q) - q = (1 - q)(1 - phi(q)) with phi(q) = sum_j P(hat > j) q^j, an
@@ -266,15 +254,15 @@ def extinction_root(rho: DegreeDist, tol: float = 1e-12, max_iter: int = 100_000
     phi = np.cumsum(hat[::-1])[:-1]  # P(hat > j), highest power j first
     slope = np.polyder(phi)
     q = 1.0
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         excess = float(np.polyval(phi, q)) - 1.0
         if excess <= 0.0:
             return q
         step = excess / float(np.polyval(slope, q))
         q = max(q - step, 0.0)
-        if step < tol:
+        if step < _NEWTON_TOL:
             return q
-    raise RuntimeError(f"Newton iteration did not converge in {max_iter} steps")
+    raise RuntimeError(f"Newton iteration did not converge in {_NEWTON_MAX_ITER} steps")
 
 
 def survival_prob(rho: DegreeDist) -> float:
@@ -302,7 +290,11 @@ def duality_function(rho: DegreeDist, x) -> np.ndarray:
     return m - 2.0 * x - series
 
 
-def dual_alpha(rho: DegreeDist, *, grid_points: int = 10_000, tol: float = 1e-12) -> float:
+_ALPHA_GRID_POINTS = 10_000
+_ALPHA_TOL = 1e-12
+
+
+def dual_alpha(rho: DegreeDist) -> float:
     """Smallest positive root of the duality function on (0, m/2].
 
     The endpoints are always roots, so the search scans a uniform interior
@@ -312,13 +304,13 @@ def dual_alpha(rho: DegreeDist, *, grid_points: int = 10_000, tol: float = 1e-12
     if theta(rho) <= 1.0:
         raise ValueError("dual_alpha requires a supercritical law (theta > 1)")
     m = rho.mean()
-    xs = np.linspace(0.0, m / 2.0, grid_points + 1)[1:]
+    xs = np.linspace(0.0, m / 2.0, _ALPHA_GRID_POINTS + 1)[1:]
     hs = duality_function(rho, xs)
     sign_change = np.nonzero((hs[:-1] > 0) & (hs[1:] <= 0))[0]
     if sign_change.size == 0:
         return m / 2.0
     lo, hi = float(xs[sign_change[0]]), float(xs[sign_change[0] + 1])
-    return optimize.brentq(lambda x: float(duality_function(rho, x)), lo, hi, xtol=tol)
+    return optimize.brentq(lambda x: float(duality_function(rho, x)), lo, hi, xtol=_ALPHA_TOL)
 
 
 @dataclass(frozen=True)
@@ -372,20 +364,21 @@ def poisson_dual(theta_value: float) -> float:
     return float(-special.lambertw(-theta_value * math.exp(-theta_value)).real)
 
 
+POPULATION_CAP = 10_000
+
+
 def population_survives(
     root_dist: DegreeDist,
     child_dist: DegreeDist,
     depth: int,
     count: int,
     seed: int,
-    *,
-    population_cap: int = 10_000,
 ) -> np.ndarray:
     """Monte Carlo: does each of ``count`` sampled trees still have vertices at ``depth``?
 
     Only generation sizes are tracked, so this is cheap even for supercritical
-    laws; a population hitting the cap counts as surviving (the conditional
-    extinction probability from that size is negligible).
+    laws; a population reaching ``POPULATION_CAP`` counts as surviving (the
+    conditional extinction probability from that size is negligible).
     """
     gen = rng.generator(seed, 0x5356)
     alive = np.zeros(count, dtype=bool)
@@ -396,7 +389,7 @@ def population_survives(
             if z == 0:
                 break
             z = int(_draw_counts(dist, gen, z).sum())
-            if z >= population_cap:
+            if z >= POPULATION_CAP:
                 break
         alive[i] = z > 0
     return alive

@@ -169,7 +169,8 @@ class TestDiffusionEngine:
         model = DiffusionModel(
             "blowup", 1, lambda t, x, nb: x * 1e160, lambda t, x, nb: np.float64(0.0)
         )
-        with pytest.raises(NumericalAbort) as err:
+        # the drift overflows to inf on purpose, which numpy reports as a warning
+        with pytest.raises(NumericalAbort) as err, pytest.warns(RuntimeWarning, match="overflow"):
             simulate_diffusion(K2, np.array([1.0, 1.0]), model, 1.0, 0.1, seed=1)
         assert err.value.step >= 1
 

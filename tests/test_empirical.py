@@ -160,6 +160,19 @@ class TestTrajectoryFrequencies:
         with pytest.raises(ValueError, match="finite-alphabet"):
             trajectory_frequencies(measure_from([[0.5, 1.0]], kind="vector"))
 
+    @pytest.mark.parametrize("weights", [
+        [1.0],  # used to return the law of the first row alone
+        [1.0, 1.0, 1.0, 1.0],
+        [[1.0, 1.0, 1.0]],
+        [2.0, -1.0, 1.0],  # used to be accepted
+        [1.0, np.nan, 1.0],
+        [1.0, np.inf, 1.0],
+        [0.0, 0.0, 0.0],  # used to raise ZeroDivisionError
+    ])
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            trajectory_frequencies(measure_from([[0, 0], [1, 1], [1, 1]]), weights)
+
 
 class TestMixFrequencies:
     def test_convex_combination(self):
@@ -251,6 +264,32 @@ class TestRootLawMonteCarlo:
         )
         assert tv_discrete(a, b) < 0.06
 
+    def test_bad_counts_rejected(self):
+        sampler = fixed_graph_sampler(RootedGraph(Graph(((),)), 0))
+        for replicas in (0, -3):  # 0 died in numpy's concatenate
+            with pytest.raises(ValueError, match="replicas"):
+                root_law_monte_carlo(sampler, bernoulli_init(0.5), voter_model(), 2, replicas, seed=1)
+        with pytest.raises(ValueError, match="batch_size"):
+            root_law_monte_carlo(sampler, bernoulli_init(0.5), voter_model(), 2, 10, seed=1, batch_size=-1)
+
+    def test_zero_batch_size_returns_promptly(self):
+        # batch_size=0 drew empty batches forever.  A child process turns a
+        # hang into a failure instead of a stalled suite.
+        code = (
+            "from sparsedyn.dynamics import voter_model\n"
+            "from sparsedyn.empirical import bernoulli_init, fixed_graph_sampler, root_law_monte_carlo\n"
+            "from sparsedyn.graphs import Graph, RootedGraph\n"
+            "sampler = fixed_graph_sampler(RootedGraph(Graph(((),)), 0))\n"
+            "try:\n"
+            "    root_law_monte_carlo(sampler, bernoulli_init(0.5), voter_model(), 2, 10, 1, batch_size=0)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(sparsedyn.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert "batch_size" in out
+
     @pytest.mark.parametrize("replicas", [200, 2000])
     def test_diffusion_depth_sensitivity_is_small(self, replicas):
         # base and deeper runs share seeds, so their root paths are coupled row by
@@ -303,6 +342,13 @@ class TestShiftAverage:
         center = 9 // 2  # window radius 1 in 2d: (2*1+1)^2 = 9 cells
         vals = shift_average(ts, lambda block: float(block[-1, center]), 1, [1, 2, 4])
         assert vals == [1.0, 1.0, 1.0]
+
+    def test_negative_window_rejected(self):
+        # used to average over an empty window and return [nan]
+        rg = gen_lattice_box(2, 6)
+        ts = self.make_ts(np.zeros(rg.graph.vertex_count, dtype=np.int64))
+        with pytest.raises(ValueError, match="window_radius"):
+            shift_average(ts, lambda block: float(np.mean(block)), -1, [1])
 
     def test_box_plus_window_must_fit(self):
         rg = gen_lattice_box(2, 6)

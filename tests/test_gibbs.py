@@ -73,7 +73,7 @@ class TestExactGibbs:
 
     def test_state_cap(self):
         with pytest.raises(ValueError):
-            exact_gibbs(gen_lattice_box(2, 2).graph, GibbsSpec.ising(0.1), state_cap=1000)
+            exact_gibbs(gen_lattice_box(2, 2).graph, GibbsSpec.ising(0.1))
 
     def test_probabilities_sum_to_one(self):
         dist = exact_gibbs(PATH3, GibbsSpec.ising(0.3, field_plus=0.6))
@@ -227,6 +227,12 @@ class TestGlauber:
         a = glauber_sample(g, spec, sweeps=50, burn_in=10, seed=3)
         b = glauber_sample(g, spec, sweeps=50, burn_in=10, seed=3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("run", [glauber_sample, glauber_trace, glauber_marginals])
+    def test_zero_sweeps_rejected(self, run):
+        # glauber_marginals used to report the burn-in state as its one sample
+        with pytest.raises(ValueError, match="sweeps"):
+            run(PATH3, GibbsSpec.ising(0.4), 0, 10, 3)
 
 
 class TestIidSample:

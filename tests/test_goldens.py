@@ -53,14 +53,13 @@ def _erased():
 
 def _forest(count, seed, **kwargs):
     f = trees.sample_forest(RHO, trees.size_biased(RHO), 4, count, seed, **kwargs)
-    return _digest(f.graph.edges(), f.roots, f.truncated, f.depths, f.tree_ids,
-                   np.array([f.graph.vertex_count], dtype=np.int64))
+    return _digest(f.graph.edges(), f.roots, f.truncated, np.array([f.graph.vertex_count], dtype=np.int64))
 
 
 def _fixed_forest():
     rg = graphs.gen_canopy_truncation(3, 3, 1, root_level=1)
     f = empirical.fixed_graph_sampler(rg)(7, 0)
-    return _digest(f.graph.edges(), f.roots, f.depths, f.tree_ids)
+    return _digest(f.graph.edges(), f.roots)
 
 
 def _root_law():
@@ -298,7 +297,7 @@ GOLDEN = {
     "decay_discrete": "9a00473f71b94cb1325cd07e97b59acf7f634b9c5d09a277a2864f8faa7cb75f",
     "erdos_renyi": "074cd047612e2d9ff0c4f25e167408b9f08b543de2d4c672834463c9b4ea68e7",
     "erdos_renyi_complete": "d4a36c9a1c4542a41c6970929b1e5a6de1f05ec44ce0a7984d7cdaafaceb3d4b",
-    "fixed_graph_sampler": "9e464a7c8a575583fccbfc0c41600ee03183c9935ff832ef83dd519881063958",
+    "fixed_graph_sampler": "cf0592e54124d36e85f760c4f1bd695222eb543320a31963eb139d4dad3a7445",
     "gnm_dense": "e2795a6cf2c11730e92b4bd97a622069bc722ff669cacf4c6f3dd091c109a814",
     "gnm_sparse": "83a2a3c4bcd94c7a4450ae0da2e6db104f8fe7a1cfad10ea4255f8911b8ba373",
     "lattice_box": "ad3f490503148e3b13ba309b526e49c35e25521a6b776aa3fbf21dcd11f42045",
@@ -311,8 +310,8 @@ GOLDEN = {
     "replica_paths_discrete": "73cc037abe66b209c5fcfff165e935371f128dda3b1db04b3d97016a9e00aa65",
     "root_law_diffusion": "357d9838b72cffbb76cc35a30ce5118ad1f88dd94600eff100e5004b8faa2e77",
     "root_law_monte_carlo": "fc2d660205299738de91ca4958682b15c57d484883859d052b6d14697c447f1e",
-    "sample_forest": "c28c82ee83947009d332c7fc8ed20c0d0df73e01660af3e04363d9154caeb24e",
-    "sample_forest_truncated": "52d169bcdd5dc2a0597675c568b309da34c7e16e4469560937e96a28416677e5",
+    "sample_forest": "6f332a9f5d6d26263543ace73c06a4c2956b12d1668ce0074f3021b1dab96741",
+    "sample_forest_truncated": "f27ddb169ef162beb2e94a56f2c9baf0f10b3fc9ee620edef98148afd0418f25",
     "simulate_consensus_d2": "e4d01dd46d65c69424296278491016dd6b5d96a89696e5807713f7dc0b46eb9f",
     "simulate_consensus_d2_scalar": "40ca8bcf2a3effc17ce53d8548596a427756bcb1aed85fe695670703eb56caf3",
     "simulate_kuramoto": "4b73172342141eea623cab5a779838f07ec835b9109df95079a9795eb2025c1b",

@@ -484,6 +484,18 @@ class TestDStarMarked:
         # best isomorphism still pays 0.5 at radius >= 1
         assert abs(lo - 0.5 * (0.5 + 0.25 + 0.125)) < 1e-12
 
+    def test_lattice_ball_with_a_large_core(self):
+        # the 5x5 box has no leaves, so its radius-4 core is all 25 vertices;
+        # a cap of 12 core vertices used to reject it
+        rg = gen_lattice_box(2, 2)
+        marks = np.random.default_rng(5).uniform(0.0, 1.0, rg.vertex_count)
+        a = MarkedGraph(rg, marks)
+        assert d_star_marked(a, a, 4) == localtopo.Interval(0.0, 0.0625)
+        assert d_star_marked(a, MarkedGraph(rg, marks + 0.25), 4) == localtopo.Interval(0.234375, 0.296875)
+        # a quarter turn about the root is a ball isomorphism: it costs nothing
+        turned = np.rot90(marks.reshape(5, 5)).ravel()
+        assert d_star_marked(a, MarkedGraph(rg, turned), 4).lower == 0.0
+
 
 class TestHistograms:
     def test_empty_graph_single_type(self):

