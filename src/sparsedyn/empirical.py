@@ -21,7 +21,7 @@ from .dynamics import DecayProfile, DiffusionModel, TrajectorySet, simulate
 # not called here: kept bound because the benchmark's tracer patches these names
 from .dynamics import simulate_diffusion, simulate_discrete  # noqa: F401
 from .graphs import Graph, RootedGraph, _from_csr, component_labels
-from .trees import DegreeDist, Forest, delta_dist, sample_forest, size_biased
+from .trees import DegreeDist, Forest, sample_forest
 
 __all__ = [
     "DecayProfile",
@@ -127,8 +127,14 @@ def frequency_tv(fa: dict, fb: dict) -> float:
 
 
 def mix_frequencies(parts) -> dict[bytes, float]:
-    """Convex combination of frequency dicts given (weight, freqs) pairs."""
-    total = sum(w for w, _ in parts)
+    """Convex combination of frequency dicts given (weight, freqs) pairs; the
+    weights must be finite and >= 0 with a positive sum."""
+    weights = [w for w, _ in parts]
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise ValueError("weights must be finite and >= 0")
+    total = sum(weights)
+    if total <= 0:
+        raise ValueError("weights must have a positive sum")
     out: dict[bytes, float] = {}
     for w, freqs in parts:
         for key, p in freqs.items():
@@ -182,8 +188,7 @@ def wasserstein1_paths(a: EmpiricalMeasure, b: EmpiricalMeasure, t: float, seed:
 
 def ugw_forest_sampler(rho: DegreeDist, depth: int) -> Callable[[int, int], Forest]:
     """Batched sampler of limit trees: root law rho, later generations size-biased."""
-    child = size_biased(rho) if rho.mean() > 0 else delta_dist(0)
-    return lambda count, seed: sample_forest(rho, child, depth, count, seed)
+    return lambda count, seed: sample_forest(rho, rho.ugw_child, depth, count, seed)
 
 
 def gw_forest_sampler(offspring: DegreeDist, depth: int) -> Callable[[int, int], Forest]:

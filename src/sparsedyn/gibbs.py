@@ -225,6 +225,10 @@ def glauber_trace(
     after burn-in (``record_every=0`` keeps only the final state)."""
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    if record_every < 0:
+        raise ValueError("record_every must be >= 0")
     n = g.vertex_count
     gen = rng.generator(seed, 0x474C)
     lam_cdf = np.cumsum(spec.lam)

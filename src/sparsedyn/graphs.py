@@ -261,15 +261,22 @@ def _bfs(g: Graph, start: int, max_depth: int | None = None) -> tuple[list[int],
     return order, pos
 
 
+def _rows(g: Graph, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency entries of ``verts``, row after row: for each entry, the
+    position of its row in ``verts``, and the neighbor it holds."""
+    deg = g.degrees[verts]
+    which = np.repeat(np.arange(len(verts), dtype=np.int64), deg)
+    first = np.repeat(g.indptr[verts] - (np.cumsum(deg) - deg), deg)
+    return which, g.indices[first + np.arange(len(which))]
+
+
 def _induced_rooted(g: Graph, vertices: list[int], root: int) -> RootedGraph:
     """Induced subgraph on ``vertices`` (BFS order), reindexed, rooted at ``root``'s image."""
     verts = np.asarray(vertices, dtype=np.int64)
     local = np.full(g.vertex_count, -1, dtype=np.int64)
     local[verts] = np.arange(len(verts))
-    deg = g.degrees[verts]
-    first = np.repeat(g.indptr[verts] - (np.cumsum(deg) - deg), deg)
-    a = np.repeat(np.arange(len(verts), dtype=np.int64), deg)
-    b = local[g.indices[first + np.arange(len(a))]]
+    a, nbr = _rows(g, verts)
+    b = local[nbr]
     keep = a < b  # also drops neighbors outside the set (b = -1)
     sub = _from_edge_arrays(len(verts), np.stack([a[keep], b[keep]], axis=1))
     return RootedGraph(sub, int(local[root]), origin=tuple(vertices))

@@ -21,12 +21,14 @@ from scipy.sparse import csgraph
 
 from . import rng
 from .empirical import frequency_tv
-from .graphs import Graph, MarkedGraph, RootedGraph, _bfs
+from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, _rows
 
 # the placement search recurses once per core vertex; _EFFORT_CAP bounds its
 # leaves, and so the placements d_star_marked reads
 GENERAL_CODE_CAP = 64
 _EFFORT_CAP = 500_000
+# roots whose balls the tree test of neighborhood_histogram grows at once
+_TREE_TEST_BLOCK = 256
 
 BallCode = bytes
 # BFS order, hanging children and hanging-tree codes by position, core adjacency
@@ -35,6 +37,11 @@ Ball = tuple[list[int], list[list[int]], list[bytes], dict[int, list[int]]]
 
 class CodeSizeError(ValueError):
     """General-graph canonical encoding requested above the supported size."""
+
+
+def _check_radius(r) -> None:
+    if not isinstance(r, (int, np.integer)) or r < 0:
+        raise ValueError(f"radius must be a whole number >= 0, got {r!r}")
 
 
 def _ball(g: Graph, v: int, r: int | None) -> Ball:
@@ -50,8 +57,8 @@ def _ball(g: Graph, v: int, r: int | None) -> Ball:
     come later, and are stripped already.  The ball is a tree iff its core
     is the root alone, and then ``codes[0]`` is its AHU code.
     """
-    if r is not None and (not isinstance(r, (int, np.integer)) or r < 0):
-        raise ValueError(f"radius must be None or a whole number >= 0, got {r!r}")
+    if r is not None:
+        _check_radius(r)
     order, pos = _bfs(g, v, max_depth=r)
     ptr, idx = g.csr_lists
     nbrs: list[list[int]] = []
@@ -261,17 +268,99 @@ class BallHistogram:
         return {c: k / self.total for c, k in self.counts.items()}
 
 
+def _unrolled_codes(g: Graph, r: int) -> list[BallCode]:
+    """Per vertex, the AHU code of its depth-r tree of non-backtracking
+    walks, which is its ball's code whenever the ball is a tree.
+
+    Each adjacency entry a -> b carries a message: the code of the tree
+    hanging from b away from a, as a class id ranked like the code bytes, so
+    sorted ids give sorted codes.  A round sends a -> b the messages into b
+    but the one from a, sorted, in parentheses.  That is fixed by the class
+    of b's sorted messages and the message b -> a, and only the distinct
+    pairs are coded in Python.
+    """
+    n = g.vertex_count
+    src, dst = g.edge_src, g.indices
+    back = np.searchsorted(src * n + dst, dst * n + src)  # the entry b -> a of a -> b
+    message = np.zeros(len(dst), dtype=np.int64)
+    names = [b"()"]
+    bounds = (message.itemsize * g.indptr).tolist()
+    for rnd in range(r):
+        # classes of the sorted multisets of messages into each vertex
+        scale = len(names) * src
+        packed = (np.sort(scale + message) - scale).tobytes()
+        table: dict[bytes, int] = {}
+        into = [table.setdefault(packed[lo:hi], len(table)) for lo, hi in zip(bounds, bounds[1:])]
+        rows = [np.frombuffer(key, dtype=np.int64).tolist() for key in table]
+        if rnd == r - 1:
+            codes = [b"(" + b"".join(names[c] for c in row) + b")" for row in rows]
+            return [codes[c] for c in into]
+        pair = np.asarray(into)[dst] * len(names) + message[back]
+        pairs = np.sort(pair)
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        refined = []
+        for key in pairs.tolist():
+            row, skip = divmod(key, len(names))
+            kids = list(rows[row])
+            kids.remove(skip)
+            refined.append(b"(" + b"".join(names[c] for c in kids) + b")")
+        names = sorted(set(refined))
+        rank = {code: i for i, code in enumerate(names)}
+        message = np.array([rank[code] for code in refined], dtype=np.int64)[np.searchsorted(pairs, pair)]
+    return [b"()"] * n
+
+
+def _tree_balls(g: Graph, r: int) -> np.ndarray:
+    """Per vertex, whether its radius-r ball is a tree.
+
+    Balls grow by non-backtracking steps, one level at a time, as keys
+    root * n + vertex for ``_TREE_TEST_BLOCK`` roots at a time.  A ball is a
+    tree iff no step inside it meets the ball or another step, and no step
+    out of it lands in it; only that last test sees an odd cycle closed by
+    an edge between two vertices at depth r.  Cyclic roots are dropped at
+    once, so a block holds at most its ball sizes times the largest degree.
+    """
+    n = g.vertex_count
+    tree = np.ones(n, dtype=bool)
+    for lo in range(0, n, _TREE_TEST_BLOCK):
+        ball = frontier = np.arange(lo, min(lo + _TREE_TEST_BLOCK, n), dtype=np.int64) * (n + 1)  # root * n + root
+        prev = np.full(len(ball), -1)
+        for depth in range(r + 1):
+            at, nbr = _rows(g, frontier % n)
+            onward = nbr != prev[at]
+            at, nbr = at[onward], nbr[onward]
+            step = frontier[at] // n * n + nbr
+            # equal keys are walks meeting; the low bit tells ball keys (0) from steps (1)
+            keys = np.sort(np.concatenate([2 * ball, 2 * step + 1]))
+            meet = keys[1:] >> 1 == keys[:-1] >> 1
+            if depth == r:  # steps out of the ball may meet each other outside it
+                meet &= (keys[:-1] & 1) == 0
+            tree[(keys[1:][meet] >> 1) // n] = False
+            live = tree[step // n]
+            ball = np.concatenate([ball[tree[ball // n]], step[live]])
+            frontier, prev = step[live], frontier[at][live] % n
+    return tree
+
+
 def neighborhood_histogram(g: Graph, r: int) -> BallHistogram:
-    """Histogram of canonical codes of the radius-r ball around every vertex."""
+    """Histogram of canonical codes of the radius-r ball around every vertex.
+
+    Tree balls are coded in bulk by message refinement; only the balls that
+    the exact tree test finds cyclic are walked and coded one at a time.
+    Codes, counts and their order are those of ``_ball_code_from`` per vertex.
+    """
+    _check_radius(r)
     counts: dict[BallCode, int] = {}
-    for v in range(g.vertex_count):
-        code = _ball_code_from(g, v, r)
+    for v, (code, tree) in enumerate(zip(_unrolled_codes(g, r), _tree_balls(g, r).tolist())):
+        if not tree:
+            code = _ball_code_from(g, v, r)
         counts[code] = counts.get(code, 0) + 1
     return BallHistogram(counts, r, g.vertex_count)
 
 
 def histogram_of_samples(samples, r: int) -> BallHistogram:
     """Histogram of radius-r root ball codes over an iterable of RootedGraphs."""
+    _check_radius(r)
     counts: dict[BallCode, int] = {}
     total = 0
     for rg in samples:
@@ -321,6 +410,7 @@ def two_root_independence_gap(
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
+    _check_radius(r)
     gen = rng.generator(seed, 0x5452)
     pairs: list[tuple[BallCode, BallCode]] = []
     tally: dict[BallCode, int] = {}

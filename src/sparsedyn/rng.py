@@ -12,16 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 _U64 = np.uint64
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
-_MIX1 = _U64(0xBF58476D1CE4E5B9)
-_MIX2 = _U64(0x94D049BB133111EB)
+_SPLITMIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)  # increment, multipliers
+_GOLDEN, _MIX1, _MIX2 = (_U64(c) for c in _SPLITMIX)
+_M64 = (1 << 64) - 1
 _INV_2_53 = 1.0 / (1 << 53)
 _INV_2_32 = 1.0 / (1 << 32)
 
 
 def _as_u64(value) -> np.ndarray:
     if isinstance(value, (int, np.integer)):
-        return np.asarray(int(value) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+        return np.asarray(int(value) & _M64, dtype=np.uint64)
     return np.asarray(value, dtype=np.uint64)
 
 
@@ -49,12 +49,21 @@ def _fold(h: np.ndarray, value) -> np.ndarray:
 
 
 def stream_key(seed: int, *parts: int) -> int:
-    """Derive a child key from a seed and integer tags (pure, collision-mixed)."""
-    with np.errstate(over="ignore"):
-        h = _mix(_as_u64(seed) + _GOLDEN)
-    for p in parts:
-        h = _fold(h, p)
-    return int(h)
+    """Derive a child key from a seed and integer tags (pure, collision-mixed).
+
+    The same splitmix64 chain as ``_fold``, on Python ints masked to 64 bits:
+    seed and parts count modulo 2**64, and a key costs no numpy calls.
+    """
+    golden, mix1, mix2 = _SPLITMIX
+    h = 0
+    for value in (seed, *parts):
+        h = (h + int(value) + golden) & _M64
+        h ^= h >> 30
+        h = (h * mix1) & _M64
+        h ^= h >> 27
+        h = (h * mix2) & _M64
+        h ^= h >> 31
+    return h
 
 
 def _hash_vsk(key: int, stream, vertex, step: int, slot) -> np.ndarray:

@@ -10,19 +10,25 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize, special
 
 from . import rng
-from .graphs import Graph, RootedGraph, _from_edge_arrays
+from .graphs import Graph, RootedGraph, _from_csr
 
 DEFAULT_VERTEX_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
 class DegreeDist:
-    """Probability law on {0, 1, ..., k_max} stored densely."""
+    """Probability law on {0, 1, ..., k_max} stored densely.
+
+    The law is validated once, on construction.  Its CDF and its UGW child
+    law are computed on first use and kept, so a sampler that draws one tree
+    at a time does not rebuild them per draw.
+    """
 
     probabilities: np.ndarray
     tail_tolerance: float = 1e-12
@@ -58,8 +64,15 @@ class DegreeDist:
         k = np.arange(1, len(self.probabilities))
         return float(np.dot(k * self.probabilities[1:], s ** (k - 1.0)))
 
+    @cached_property
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.probabilities)
+
+    @cached_property
+    def ugw_child(self) -> DegreeDist:
+        """Offspring law below the root of the UGW tree whose root law is this
+        one: the size-biased law, or no children when the mean is 0."""
+        return size_biased(self) if self.mean() > 0 else delta_dist(0)
 
 
 def degree_dist(spec) -> DegreeDist:
@@ -148,9 +161,14 @@ class Forest:
     truncated: np.ndarray  # bool per tree: hit the vertex budget
 
 
+def _tree_sums(tree: np.ndarray, counts: np.ndarray, trees: int) -> np.ndarray:
+    """Sum of ``counts`` per tree id (exact: float64 holds every count sum below 2**53)."""
+    return np.bincount(tree, weights=counts, minlength=trees).astype(np.int64)
+
+
 def _draw_counts(dist: DegreeDist, gen: np.random.Generator, size: int) -> np.ndarray:
     u = gen.random(size)
-    return np.searchsorted(dist.cdf(), u, side="right").astype(np.int64)
+    return np.searchsorted(dist.cdf, u, side="right").astype(np.int64)
 
 
 def sample_forest(
@@ -177,43 +195,48 @@ def sample_forest(
     roots = np.arange(count, dtype=np.int64)
     sizes = np.ones(count, dtype=np.int64)
     truncated = np.zeros(count, dtype=bool)
-    parents_all = []
-    children_all = []
-    active = roots
-    active_tree = roots.copy()
+    parents = [np.zeros(0, dtype=np.int64)]  # of vertices count, count + 1, ...
+    active = active_tree = roots
     next_id = count
     for gen_idx in range(depth):
         if active.size == 0:
             break
-        dist = root_dist if gen_idx == 0 else child_dist
-        counts = _draw_counts(dist, gen, active.size)
+        counts = _draw_counts(root_dist if gen_idx == 0 else child_dist, gen, active.size)
         # enforce the per-tree budget by dropping offspring of saturated trees
-        proposed = sizes.copy()
-        np.add.at(proposed, active_tree, counts)
+        proposed = sizes + _tree_sums(active_tree, counts, count)
         over = proposed > vertex_budget
-        if np.any(over):
+        if over.any():
             truncated |= over
             counts = np.where(over[active_tree], 0, counts)
-            sizes = sizes.copy()
-            np.add.at(sizes, active_tree, counts)
+            sizes = sizes + _tree_sums(active_tree, counts, count)
         else:
             sizes = proposed
-        total = int(counts.sum())
-        if total == 0:
-            active = np.zeros(0, dtype=np.int64)
-            continue
-        children = np.arange(next_id, next_id + total, dtype=np.int64)
-        parents = np.repeat(active, counts)
-        parents_all.append(parents)
-        children_all.append(children)
-        active_tree = np.repeat(active_tree, counts)
-        active = children
-        next_id += total
-    if parents_all:
-        edges = np.stack([np.concatenate(parents_all), np.concatenate(children_all)], axis=1)
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
-    return Forest(_from_edge_arrays(next_id, edges), roots, truncated)
+        parents.append(active.repeat(counts))
+        active_tree = active_tree.repeat(counts)
+        active = np.arange(next_id, next_id + len(active_tree), dtype=np.int64)
+        next_id += len(active_tree)
+    return Forest(_forest_graph(count, np.concatenate(parents)), roots, truncated)
+
+
+def _forest_graph(roots: int, parent: np.ndarray) -> Graph:
+    """CSR of the forest in which vertex ``roots + i`` hangs from ``parent[i]``,
+    numbered generation by generation, so that parents never decrease.
+
+    Each row holds the vertex's parent, then its children, whose ids are
+    consecutive and larger.  Taking the rows in order, the child entries are
+    therefore all non-roots in id order, and no sort is needed.
+    """
+    n = roots + len(parent)
+    deg = np.bincount(parent, minlength=n)
+    deg[roots:] += 1
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    up = np.zeros(indptr[-1], dtype=bool)
+    up[indptr[roots:-1]] = True
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[up] = parent
+    indices[~up] = np.arange(roots, n)
+    return _from_csr(indptr, indices)
 
 
 def _single_tree(forest: Forest) -> RootedGraph:
@@ -224,8 +247,7 @@ def sample_ugw(
     rho: DegreeDist, depth: int, seed: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
 ) -> RootedGraph:
     """Limit tree of configuration models: root offspring ~ rho, later ~ size-biased."""
-    child = size_biased(rho) if rho.mean() > 0 else delta_dist(0)
-    return _single_tree(sample_forest(rho, child, depth, 1, seed, vertex_budget=vertex_budget))
+    return _single_tree(sample_forest(rho, rho.ugw_child, depth, 1, seed, vertex_budget=vertex_budget))
 
 
 def sample_gw(offspring: DegreeDist, depth: int, seed: int) -> RootedGraph:
@@ -380,6 +402,10 @@ def population_survives(
     laws; a population reaching ``POPULATION_CAP`` counts as surviving (the
     conditional extinction probability from that size is negligible).
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     gen = rng.generator(seed, 0x5356)
     alive = np.zeros(count, dtype=bool)
     for i in range(count):

@@ -187,6 +187,15 @@ class TestMixFrequencies:
         assert mixed.keys() == f.keys()
         assert frequency_tv(mixed, f) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("weights, what", [
+        ((2.0, -1.0), "finite and >= 0"), ((1.0, math.nan), "finite and >= 0"),
+        ((math.inf, 1.0), "finite and >= 0"), ((0.0, 0.0), "positive sum"),
+    ])
+    def test_bad_weights_rejected(self, weights, what):
+        # (2, -1) returned {a: 2.0, b: -1.0}; a zero sum raised ZeroDivisionError
+        with pytest.raises(ValueError, match=what):
+            mix_frequencies([(weights[0], {b"a": 1.0}), (weights[1], {b"b": 1.0})])
+
 
 class TestWasserstein:
     def test_identical_zero(self):

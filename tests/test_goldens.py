@@ -217,6 +217,27 @@ def _limit_histogram():
                    np.array([h.counts[c] for c in codes] + [h.total], dtype=np.int64))
 
 
+def _limit_histogram_regular():
+    samples = (trees.sample_ugw(trees.delta_dist(3), 2, rng.stream_key(56, i)) for i in range(300))
+    h = localtopo.histogram_of_samples(samples, 2)
+    codes = sorted(h.counts)
+    return _digest(np.frombuffer(b"|".join(codes), dtype=np.uint8),
+                   np.array([h.counts[c] for c in codes] + [h.total], dtype=np.int64))
+
+
+def _stream_keys():
+    # seeds and parts that are negative, at least 2**64 or numpy integers
+    gen = np.random.default_rng(57)
+    keys = []
+    for i in range(200):
+        wide = int(gen.integers(0, 2**63))
+        kinds = [wide, -wide - 1, wide + 2**64, np.int64(i - 100), np.uint64(wide + 2**63), i]
+        seed = kinds[i % 6]
+        parts = [kinds[(i + j + 1) % 6] for j in range(i % 4)]
+        keys.append(rng.stream_key(seed, *parts))
+    return _digest(np.array(keys, dtype=np.uint64))
+
+
 def _two_root_gap():
     sampler = lambda key: graphs.gen_erdos_renyi(200, 2.0 / 200, key)
     return _digest(np.array([localtopo.two_root_independence_gap(sampler, r, 60, 50) for r in (1, 2)]))
@@ -278,6 +299,12 @@ CASES = {
     "d_star_marked": _d_star_marked,
     "limit_histogram": _limit_histogram,
     "two_root_gap": _two_root_gap,
+    "histogram_regular_r1": lambda: _histogram(graphs.gen_random_regular(500, 3, 55), 1),
+    "histogram_regular_r2": lambda: _histogram(graphs.gen_random_regular(500, 3, 55), 2),
+    "histogram_regular_r3": lambda: _histogram(graphs.gen_random_regular(500, 3, 55), 3),
+    "histogram_lattice": lambda: _histogram(graphs.gen_lattice_box(2, 4).graph, 2),
+    "limit_histogram_regular": _limit_histogram_regular,
+    "stream_keys": _stream_keys,
     "path_laws": _path_laws,
 }
 
@@ -300,8 +327,13 @@ GOLDEN = {
     "fixed_graph_sampler": "cf0592e54124d36e85f760c4f1bd695222eb543320a31963eb139d4dad3a7445",
     "gnm_dense": "e2795a6cf2c11730e92b4bd97a622069bc722ff669cacf4c6f3dd091c109a814",
     "gnm_sparse": "83a2a3c4bcd94c7a4450ae0da2e6db104f8fe7a1cfad10ea4255f8911b8ba373",
+    "histogram_lattice": "7610f07cd9ff046f967da9130d9839cbf20d80d314a23c08c5833aedc7aa61aa",
+    "histogram_regular_r1": "11b33be134798df140f3d88716e9f62d3c73eabd6ef37faee7c4c575cc188f3d",
+    "histogram_regular_r2": "364ca408dea4e1a8ae935c2028ecaa0b9b2f4186518100816f53a30f38022b59",
+    "histogram_regular_r3": "67eedaf7b83b1b675ef73312dcf6b9a529817ad9fe4692fff91c89c69dfedd21",
     "lattice_box": "ad3f490503148e3b13ba309b526e49c35e25521a6b776aa3fbf21dcd11f42045",
     "limit_histogram": "f30b7119ff56b2a47ae2208d2fa57cf3f9ebaaeef4a48ce9abf6f12c9590d3dc",
+    "limit_histogram_regular": "2ce34c4a234d2fa31d3c983d3439eccbde58a1b5d0dd95a7ab257195a7d5495f",
     "neighborhood_histogram": "adb318c41e639d434c0ae1ab36a416f28f6ef3acf04617ef39d5aea0fedfee2f",
     "path_laws": "613e185b8b9f2764eb4b97708341552a77af7270d9accc50e8f8facc9f813541",
     "random_regular": "49fbb1417f36d1eae10477364bac92d58c9c52d025ad6efc6947d68a15973f6c",
@@ -320,6 +352,7 @@ GOLDEN = {
     "simulate_majority_scalar": "e0df9bcd11958bef2f83d40f5912533987fe5b33cc226755d6deb5aaba71bfea",
     "simulate_voter": "213027166df4cc68e1d79794b1850acabebc880fc93ed3e5a9b75a097af3acd9",
     "simulate_voter_scalar": "213027166df4cc68e1d79794b1850acabebc880fc93ed3e5a9b75a097af3acd9",
+    "stream_keys": "22854c77a6e02063c2bc939d75760fcc14a9bd31f88e6fb306c386cbdc367351",
     "traversals": "dd3f6fef8c05e4a3740e2dd92e016ada40c2ef3e281cae218d53da499da74d1e",
     "two_root_gap": "54b137de7101225c3581a228ce297cb1605ea9928ce48da416d14badb194c4f0",
 }

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -294,6 +295,58 @@ class TestBallCodeProperty:
             assert code == localtopo._ball_code_from(moved, int(perm[v]), 3)
 
 
+def cycle_graph(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@st.composite
+def histogram_cases(draw):
+    """A radius in 0..4 and a small ER graph, Poisson configuration model,
+    dense small graph, edgeless graph, or cycle of length 2r+1 or 2r+2."""
+    r = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["er", "poisson", "dense", "edgeless", "odd_cycle", "even_cycle"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "er":
+        g = gen_erdos_renyi(draw(st.integers(1, 40)), draw(st.floats(0.0, 0.3)), seed)
+    elif kind == "poisson":
+        g = poisson_cm(draw(st.integers(2, 60)), seed)
+    elif kind == "dense":
+        g = draw(small_graphs())
+    elif kind == "edgeless":
+        g = Graph.from_edges(draw(st.integers(1, 10)), [])
+    else:
+        g = cycle_graph(max(3, 2 * r + (1 if kind == "odd_cycle" else 2)))
+    return g, r
+
+
+class TestBulkHistogram:
+    """neighborhood_histogram codes tree balls in bulk; it must count exactly
+    the codes that coding every ball on its own gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(histogram_cases())
+    def test_counts_equal_the_per_vertex_tally(self, case):
+        g, r = case
+        codes = [localtopo._ball_code_from(g, v, r) for v in range(g.vertex_count)]
+        h = neighborhood_histogram(g, r)
+        assert h.counts == collections.Counter(codes) and h.total == g.vertex_count
+        assert list(h.counts) == list(dict.fromkeys(codes))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_cycles_just_inside_and_outside_the_ball(self, r):
+        # C_{2r+1} closes with an edge between the two vertices at depth r
+        (odd,) = neighborhood_histogram(cycle_graph(2 * r + 1), r).counts
+        (even,) = neighborhood_histogram(cycle_graph(2 * r + 2), r).counts
+        assert odd.startswith(b"G") and even == canonical_code(ball(RootedGraph(path_graph(2 * r + 1), r), r))
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_tree_test_across_vertex_blocks(self, r):
+        g = poisson_cm(3 * localtopo._TREE_TEST_BLOCK + 17, 5)
+        want = [len(localtopo._ball(g, v, r)[3]) == 1 for v in range(g.vertex_count)]
+        assert localtopo._tree_balls(g, r).tolist() == want
+        assert r < 2 or not all(want)
+
+
 class TestPeeledCoder:
     """Balls are coded from their core once the hanging trees are peeled."""
 
@@ -334,7 +387,7 @@ class TestPeeledCoder:
 
 
 class TestRadiusCheck:
-    @pytest.mark.parametrize("r", [-1, 1.5, "2"])
+    @pytest.mark.parametrize("r", [-1, 1.5, "2", None])
     def test_bad_radius_raises(self, r):
         g = path_graph(4)
         rooted = RootedGraph(g, 0)

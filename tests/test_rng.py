@@ -41,3 +41,29 @@ def test_scalar_draws_and_inputs_left_alone(draw):
     assert np.array_equal(v, np.arange(5)) and np.array_equal(s, [[3], [9]])
     one = draw(11, 2, 4, stream=9, slot=1)
     assert isinstance(one, np.float64) and one.tobytes() == block[1, 2].tobytes()
+
+
+def _stream_key_reference(seed, *parts):
+    """stream_key as it was first written: splitmix64 folds on numpy uint64 scalars."""
+    with np.errstate(over="ignore"):
+        h = rng._mix(rng._as_u64(seed) + rng._GOLDEN)
+    for p in parts:
+        h = rng._fold(h, p)
+    return int(h)
+
+
+WIDE = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=WIDE, parts=st.lists(WIDE, max_size=4))
+def test_stream_key_matches_the_numpy_reduction(seed, parts):
+    # seeds and parts count modulo 2**64: negative, >= 2**64 and numpy integers alike
+    key = rng.stream_key(seed, *parts)
+    assert type(key) is int and 0 <= key < 2**64
+    assert key == _stream_key_reference(seed, *parts)

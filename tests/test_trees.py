@@ -167,6 +167,10 @@ class TestSamplers:
         assert list(forest.roots) == list(range(50))
         forest.graph.validate()
         assert forest.truncated.shape == (50,) and not forest.truncated.any()
+        # rows built without a sort stay valid when budgets cut trees short
+        cut = sample_forest(poisson_dist(3.0), poisson_dist(3.0), depth=4, count=30, seed=9, vertex_budget=12)
+        cut.graph.validate()
+        assert cut.truncated.any() and not cut.truncated.all()
 
 
 class TestSurvival:
@@ -210,6 +214,13 @@ class TestSurvival:
         rho = poisson_dist(2.0)
         alive = population_survives(rho, size_biased(rho), depth=25, count=3000, seed=7)
         assert abs(float(alive.mean()) - SURVIVAL[2.0]) < 0.03
+
+    @pytest.mark.parametrize("depth, count, what", [(-3, 4, "depth"), (2, 0, "count"), (2, -1, "count")])
+    def test_bad_counts_rejected(self, depth, count, what):
+        # a negative depth reported every tree alive without drawing
+        rho = poisson_dist(2.0)
+        with pytest.raises(ValueError, match=f"{what} must be"):
+            population_survives(rho, rho, depth, count, 1)
 
 
 class TestDuality:
