@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .graphs import Graph
+from .graphs import Graph, _rows
 
 EXACT_STATE_CAP = 10**7
 KERNEL_STATE_CAP = 10**6
@@ -73,9 +73,25 @@ def _config_array(c, n: int) -> np.ndarray:
     return arr
 
 
+def _check_symbols(symbols: np.ndarray, spec: GibbsSpec) -> None:
+    if np.any((symbols < 0) | (symbols >= spec.size)):
+        raise ValueError(f"symbols must lie in [0, {spec.size})")
+
+
+def _region(g: Graph, region) -> np.ndarray:
+    """Region vertices as an array, checked to be distinct and in [0, n)."""
+    verts = np.array([int(v) for v in region], dtype=np.int64)
+    if np.any((verts < 0) | (verts >= g.vertex_count)):
+        raise ValueError("region vertex out of range [0, n)")
+    if len(np.unique(verts)) != len(verts):
+        raise ValueError("region vertices must be distinct")
+    return verts
+
+
 def log_unnormalized_weight(g: Graph, spec: GibbsSpec, c) -> float:
     """log of prod_edges psi * prod_vertices lambda (-inf allowed)."""
     arr = _config_array(c, g.vertex_count)
+    _check_symbols(arr, spec)
     with np.errstate(divide="ignore"):
         log_lam = np.log(spec.lam)
         log_psi = np.log(spec.psi)
@@ -127,30 +143,28 @@ def _all_configs(count: int, n: int, a: int) -> np.ndarray:
     return configs[:, :n]
 
 
-def _enumerate(g: Graph, spec: GibbsSpec, region: tuple, boundary: dict[int, int]) -> ExactGibbs:
+def _enumerate(g: Graph, spec: GibbsSpec, region: np.ndarray, boundary: dict[int, int]) -> ExactGibbs:
     """Exact law of the symbols on ``region`` given ``boundary``, the symbols
     of its outside neighbors: psi over edges inside the region and from it to
-    the boundary, lambda over region vertices, normalized in log space."""
+    the boundary, lambda over region vertices, normalized in log space.
+
+    Edges are added row by row in region order, inner edges first."""
     a = spec.size
-    local = {v: i for i, v in enumerate(region)}
+    local = np.full(g.vertex_count, -1, dtype=np.int64)
+    local[region] = np.arange(len(region))
+    row, nbr = _rows(g, region)
+    col = local[nbr]
+    inner = (col >= 0) & (region[row] < nbr)
+    outer = col < 0
     with np.errstate(divide="ignore"):
         log_lam = np.log(spec.lam)
         log_psi = np.log(spec.psi)
-    inner_edges = []
-    outer_edges = []
-    for v in region:
-        for u in g.adjacency[v]:
-            if u in local:
-                if v < u:
-                    inner_edges.append((local[v], local[u]))
-            else:
-                outer_edges.append((local[v], boundary[int(u)]))
     configs = _all_configs(a ** len(region), len(region), a)
     logs = log_lam[configs].sum(axis=1)
-    for i, j in inner_edges:
+    for i, j in zip(row[inner].tolist(), col[inner].tolist()):
         logs = logs + log_psi[configs[:, i], configs[:, j]]
-    for i, b in outer_edges:
-        logs = logs + log_psi[configs[:, i], b]
+    for i, u in zip(row[outer].tolist(), nbr[outer].tolist()):
+        logs = logs + log_psi[configs[:, i], boundary[u]]
     peak = logs.max()
     if peak == -np.inf:
         raise ValueError("zero mass: no configuration has positive weight")
@@ -164,18 +178,16 @@ def exact_gibbs(g: Graph, spec: GibbsSpec) -> ExactGibbs:
     count = spec.size**g.vertex_count
     if count > EXACT_STATE_CAP:
         raise ValueError(f"state space of size {count} exceeds the cap {EXACT_STATE_CAP}")
-    return _enumerate(g, spec, tuple(range(g.vertex_count)), {})
+    return _enumerate(g, spec, np.arange(g.vertex_count), {})
 
 
 def boundary_of(g: Graph, region) -> tuple[int, ...]:
     """Vertices outside the region adjacent to it."""
-    region_set = set(int(v) for v in region)
-    out = set()
-    for v in region_set:
-        for u in g.adjacency[v]:
-            if u not in region_set:
-                out.add(int(u))
-    return tuple(sorted(out))
+    verts = _region(g, region)
+    inside = np.zeros(g.vertex_count, dtype=bool)
+    inside[verts] = True
+    _, nbr = _rows(g, verts)
+    return tuple(np.unique(nbr[~inside[nbr]]).tolist())
 
 
 def conditional_kernel(g: Graph, spec: GibbsSpec, region, boundary: dict[int, int]) -> ExactGibbs:
@@ -184,10 +196,11 @@ def conditional_kernel(g: Graph, spec: GibbsSpec, region, boundary: dict[int, in
     Weights multiply psi over edges inside the region and from the region to
     its boundary, and lambda over region vertices, then normalize.
     """
-    region = tuple(int(v) for v in region)
+    region = _region(g, region)
     need = boundary_of(g, region)
     if set(boundary) != set(need):
         raise ValueError(f"boundary must cover exactly {need}")
+    _check_symbols(np.array(list(boundary.values()), dtype=np.int64), spec)
     count = spec.size ** len(region)
     if count > KERNEL_STATE_CAP:
         raise ValueError(f"conditional state space {count} exceeds the cap {KERNEL_STATE_CAP}")
@@ -233,7 +246,7 @@ def glauber_trace(
     gen = rng.generator(seed, 0x474C)
     lam_cdf = np.cumsum(spec.lam)
     state = np.searchsorted(lam_cdf, gen.random(n), side="right").astype(np.int64)
-    adj = [np.asarray(a, dtype=np.int64) for a in g.adjacency]
+    adj = np.split(g.indices, g.indptr[1:-1])
     psi = spec.psi
     lam = spec.lam
     records = []

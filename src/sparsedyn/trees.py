@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import rng
 from .graphs import Graph, RootedGraph, _from_csr
@@ -78,6 +78,11 @@ class DegreeDist:
 def degree_dist(spec) -> DegreeDist:
     """Build a DegreeDist from a dense sequence or a {k: prob} mapping."""
     if isinstance(spec, dict):
+        if not spec:
+            raise ValueError("degree spec is empty")
+        for k in spec:
+            if not isinstance(k, (int, np.integer)) or k < 0:
+                raise ValueError(f"degree {k!r} is not an integer >= 0")
         k_max = max(spec)
         dense = np.zeros(k_max + 1)
         for k, p in spec.items():
@@ -271,8 +276,11 @@ def extinction_root(rho: DegreeDist) -> float:
     unless phi(1) > 1, and then it is the root of phi = 1 in [0, 1), which
     Newton's method from 1 approaches monotonically from above.  Unlike
     h(q) - q, phi - 1 has a simple root even when theta is 1 up to rounding.
+    With no degree-1 mass h(0) = 0, so the root is exactly 0.
     """
     hat = size_biased(rho).probabilities
+    if hat[0] == 0.0:
+        return 0.0
     phi = np.cumsum(hat[::-1])[:-1]  # P(hat > j), highest power j first
     slope = np.polyder(phi)
     q = 1.0
@@ -302,42 +310,14 @@ def survival_prob(rho: DegreeDist) -> float:
     return 1.0 - rho.pgf(q) if q < 1.0 else 0.0
 
 
-def duality_function(rho: DegreeDist, x) -> np.ndarray:
-    """H(x) = m - 2x - sum_k k rho_k (1 - 2x/m)^{k/2}; H(0) = H(m/2) = 0."""
-    m = rho.mean()
-    x = np.asarray(x, dtype=np.float64)
-    k = np.arange(len(rho.probabilities))
-    base = np.clip(1.0 - 2.0 * x[..., None] / m, 0.0, None)
-    series = np.sum(k * rho.probabilities * base ** (k / 2.0), axis=-1)
-    return m - 2.0 * x - series
-
-
-_ALPHA_GRID_POINTS = 10_000
-_ALPHA_TOL = 1e-12
-
-
-def dual_alpha(rho: DegreeDist) -> float:
-    """Smallest positive root of the duality function on (0, m/2].
-
-    The endpoints are always roots, so the search scans a uniform interior
-    grid for a sign change and solves on that cell with Brent's method; with
-    no interior sign change the root is m/2 itself.
-    """
-    if theta(rho) <= 1.0:
-        raise ValueError("dual_alpha requires a supercritical law (theta > 1)")
-    m = rho.mean()
-    xs = np.linspace(0.0, m / 2.0, _ALPHA_GRID_POINTS + 1)[1:]
-    hs = duality_function(rho, xs)
-    sign_change = np.nonzero((hs[:-1] > 0) & (hs[1:] <= 0))[0]
-    if sign_change.size == 0:
-        return m / 2.0
-    lo, hi = float(xs[sign_change[0]]), float(xs[sign_change[0] + 1])
-    return optimize.brentq(lambda x: float(duality_function(rho, x)), lo, hi, xtol=_ALPHA_TOL)
-
-
 @dataclass(frozen=True)
 class DualityReport:
-    """Sub/supercritical duality summary for an offspring law."""
+    """Sub/supercritical duality summary for an offspring law.
+
+    ``beta`` is the extinction root.  ``alpha``, the smallest positive root of
+    H(x) = m - 2x - sum_k k rho_k (1 - 2x/m)^{k/2}, is derived from it as
+    m (1 - beta^2) / 2.
+    """
 
     m: float
     theta: float
@@ -351,29 +331,34 @@ class DualityReport:
 def dual_distribution(rho: DegreeDist) -> DualityReport:
     """Dual law: the supercritical tree conditioned on staying finite.
 
-    dual_k = rho_k / (1 - survival) * beta^k with beta = sqrt(1 - 2 alpha / m).
-    The dual summing to one and its criticality parameter staying <= 1 are
-    consequences of the construction and are asserted as diagnostics.
+    With beta the extinction root, survival = 1 - pgf(beta) and
+    dual_k = rho_k beta^k / pgf(beta).  Substituting beta^2 = 1 - 2x/m gives
+    H(x) = m beta (beta - h(beta)), h the size-biased pgf, so alpha is derived
+    from beta too: one fixed point gives the whole report.  With no degree-1
+    mass beta = 0 and the dual law is delta_0.  The dual summing to one and
+    its criticality parameter staying <= 1 are consequences of the
+    construction and are asserted as diagnostics.
     """
     th = theta(rho)
     if th <= 1.0:
         raise ValueError("dual_distribution requires theta > 1")
-    s = survival_prob(rho)
+    m = rho.mean()
+    beta = extinction_root(rho)
+    finite = rho.pgf(beta)
+    s = 1.0 - finite if beta < 1.0 else 0.0
     if s >= 1.0 - 1e-15:
         raise ValueError("dual undefined when survival probability is 1")
-    m = rho.mean()
-    alpha = dual_alpha(rho)
-    beta = math.sqrt(max(0.0, 1.0 - 2.0 * alpha / m))
     k = np.arange(len(rho.probabilities))
-    dual_p = rho.probabilities * beta**k / (1.0 - s)
+    # dividing by 1 - s would lose digits when pgf(beta) is tiny
+    dual_p = rho.probabilities * beta**k / finite
     total = float(dual_p.sum())
     if abs(total - 1.0) > 1e-8:
         raise ArithmeticError(f"dual law normalization failed: sum = {total!r}")
     dual = DegreeDist(dual_p, tail_tolerance=1e-8)
-    dual_th = theta(dual)
+    dual_th = theta(dual) if dual.mean() > 0 else 0.0
     if dual_th > 1.0 + 1e-8:
         raise ArithmeticError(f"dual law is not subcritical: theta = {dual_th!r}")
-    return DualityReport(m, th, s, alpha, beta, dual, dual_th)
+    return DualityReport(m, th, s, m * (1.0 - beta * beta) / 2.0, beta, dual, dual_th)
 
 
 def poisson_dual(theta_value: float) -> float:

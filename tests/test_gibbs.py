@@ -155,6 +155,28 @@ def brute_conditional_from_exact(dist, region, complement_values):
     return out
 
 
+class TestInputChecks:
+    # each used to index from the end, double-count a site or raise IndexError
+    @pytest.mark.parametrize("region, message", [([-1], "out of range"), ([3], "out of range"), ([0, 0], "distinct")])
+    def test_bad_region_rejected(self, region, message):
+        with pytest.raises(ValueError, match=message):
+            conditional_kernel(PATH3, GibbsSpec.ising(0.3), region, {1: 1})
+
+    def test_boundary_of_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            boundary_of(PATH3, [5])
+
+    @pytest.mark.parametrize("c", [[0, 1, -1], [0, 2, 1]])
+    def test_bad_symbols_rejected(self, c):
+        with pytest.raises(ValueError, match="symbols"):
+            log_unnormalized_weight(PATH3, GibbsSpec.ising(0.3), c)
+
+    @pytest.mark.parametrize("symbol", [-1, 2])
+    def test_bad_boundary_symbol_rejected(self, symbol):
+        with pytest.raises(ValueError, match="symbols"):
+            conditional_kernel(PATH3, GibbsSpec.ising(0.3), [0], {1: symbol})
+
+
 class TestMarkovProperty:
     @pytest.mark.parametrize(
         "edges",

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import sparsedyn
@@ -17,9 +19,7 @@ from sparsedyn.trees import (
     DegreeDist,
     degree_dist,
     delta_dist,
-    dual_alpha,
     dual_distribution,
-    duality_function,
     extinction_root,
     poisson_dist,
     poisson_dual,
@@ -94,6 +94,15 @@ class TestDegreeDist:
     def test_mapping_constructor(self):
         rho = degree_dist({0: 0.5, 2: 0.5})
         assert list(rho.probabilities) == [0.5, 0.0, 0.5]
+
+    @pytest.mark.parametrize("spec, message", [
+        ({2: 0.0, -1: 1.0}, "degree -1 "),  # indexed from the end: silently delta_2
+        ({1.5: 1.0}, "degree 1.5 "),
+        ({}, "spec is empty"),  # died in max() of an empty sequence
+    ])
+    def test_bad_mapping_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            degree_dist(spec)
 
 
 class TestSizeBiased:
@@ -224,23 +233,43 @@ class TestSurvival:
 
 
 class TestDuality:
-    def test_h_endpoint_identities(self):
-        for rho in (poisson_dist(2.0), degree_dist({0: 0.2, 1: 0.2, 3: 0.6})):
-            m = rho.mean()
-            assert abs(float(duality_function(rho, 0.0))) < 1e-12
-            assert abs(float(duality_function(rho, m / 2.0))) < 1e-12
-
-    def test_alpha_matches_extinction_root(self):
-        # independent route: beta = sqrt(1 - 2 alpha / m) must equal the
-        # smallest fixed point of the size-biased pgf
-        for rho in (poisson_dist(2.0), degree_dist({0: 0.2, 1: 0.2, 3: 0.6})):
-            alpha = dual_alpha(rho)
-            beta = math.sqrt(1.0 - 2.0 * alpha / rho.mean())
-            assert abs(beta - extinction_root(rho)) < 1e-9
-
     def test_subcritical_rejected(self):
         with pytest.raises(ValueError):
-            dual_alpha(poisson_dist(0.9))
+            dual_distribution(poisson_dist(0.9))
+
+    @pytest.mark.parametrize("th", [1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 29.95])
+    def test_beta_is_the_lambert_w_dual(self, th):
+        # a grid scan of H put alpha at the endpoint m/2 (beta = 0) from
+        # theta = 4.7 on, and the dual law then failed its normalization check
+        report = dual_distribution(poisson_dist(th))
+        assert abs(th * report.beta - poisson_dual(th)) < 1e-9
+        assert abs(report.survival - survival_prob(poisson_dist(th))) <= 1e-15
+
+    @pytest.mark.parametrize("spec", [{0: 0.1, 3: 0.9}, {0: 0.3, 2: 0.1, 4: 0.6}])
+    def test_no_degree_one_mass_gives_no_children(self, spec):
+        # a tree stays finite only if the root has no child: the dual is delta_0
+        rho = degree_dist(spec)
+        report = dual_distribution(rho)
+        assert report.beta == 0.0
+        assert report.dual.probabilities.tolist() == [1.0] + [0.0] * rho.k_max
+        assert report.dual_theta == 0.0
+        assert report.survival == pytest.approx(1.0 - spec[0], abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 100), min_size=3, max_size=9))
+    def test_fixed_point_property(self, weights):
+        w = np.array(weights, dtype=np.float64)
+        assume(w.sum() > 0)
+        rho = DegreeDist(w / w.sum())
+        # some critical laws evaluate theta to 1 + 2e-16; their survival is 0
+        assume(rho.mean() > 0 and theta(rho) > 1.0 and 0.0 < survival_prob(rho) < 1.0 - 1e-15)
+        report = dual_distribution(rho)
+        beta, m = report.beta, rho.mean()
+        assert abs(size_biased(rho).pgf(beta) - beta) < 1e-10
+        assert abs(report.survival - survival_prob(rho)) <= 1e-15
+        assert abs(float(report.dual.probabilities.sum()) - 1.0) < 1e-12
+        assert report.alpha == m * (1.0 - beta * beta) / 2.0
+        assert report.dual_theta <= 1.0
 
     @pytest.mark.parametrize("th", [1.5, 2.0, 3.0, 50.0])
     def test_poisson_dual_values(self, th):
