@@ -50,17 +50,12 @@ class TrajectorySet:
     graph: Graph
     times: np.ndarray  # (T,)
     paths: np.ndarray  # (T, n) for scalar states, (T, n, d) for vectors
-    kind: str  # "discrete" | "vector"
 
     def __post_init__(self):
         if self.paths.shape[0] != len(self.times):
             raise ValueError("paths and times disagree on grid length")
         if self.paths.shape[1] != self.graph.vertex_count:
             raise ValueError("paths and graph disagree on vertex count")
-
-    @property
-    def steps(self) -> int:
-        return len(self.times) - 1
 
 
 @dataclass(frozen=True)
@@ -91,23 +86,22 @@ class GraphAux:
 
 @dataclass(frozen=True)
 class DiscreteModel:
-    """Synchronous update rule for finite-alphabet (or scalar) states.
+    """Synchronous Markov update rule for finite-alphabet (or scalar) states.
 
-    ``step(k, own_history, neighbor_states, u)``, the scalar rule, consumes
-    one uniform draw and must be invariant under permutations of
-    ``neighbor_states``; ``isolated_step`` handles empty neighborhoods.
+    ``step(k, own, neighbor_states, u)``, the scalar rule, maps one vertex's
+    current state, its neighbors' current states (an empty array for an
+    isolated vertex) and one uniform draw to its next state; it must be
+    invariant under permutations of ``neighbor_states``.
     ``batch_step(k, cur, aux, u)`` is an optional vectorised rule giving the
-    same results from the current states only: ``cur`` and ``u`` have shape
-    ``(..., n)``, leading axes being independent runs such as replicas.  The
-    engines use it when present and fall back to the scalar rule, which alone
-    may read the history.  Integer marks are symbols of the alphabet and the
-    states stay int64; float marks run as float64 states.
+    same results: ``cur`` and ``u`` have shape ``(..., n)``, leading axes being
+    independent runs such as replicas.  The engines use it when present and
+    fall back to the scalar rule.  Integer marks are symbols of the alphabet
+    and the states stay int64; float marks run as float64 states.
     """
 
     name: str
     alphabet_size: int
-    step: Callable[[int, np.ndarray, np.ndarray, float], int]
-    isolated_step: Callable[[int, np.ndarray, float], int]
+    step: Callable[[int, object, np.ndarray, float], object]
     batch_step: Callable | None = field(default=None, compare=False)
 
     def _start(self, marks, n: int, k_max, dt, seed: int):
@@ -212,24 +206,20 @@ def _discrete_states(model: DiscreteModel, k_max: int, key: int, aux: GraphAux, 
     """Yield X(1), ..., X(k_max) from X(0) = ``x0`` of shape (..., n); the
     draws of step k, ``rng.uniform(key, vertex, k, stream=stream)``, broadcast
     to that shape.  ``batch_step`` advances all leading axes in one call;
-    the scalar fallback runs per vertex on a history kept here."""
-    hist = None if model.batch_step is not None else np.empty((k_max + 1, *x0.shape), dtype=x0.dtype)
+    the scalar fallback runs per vertex."""
     cur = x0
     for k in range(k_max):
         u = rng.uniform(key, vertex, k + 1, stream=stream)
-        if hist is None:
-            cur = np.asarray(model.batch_step(k, cur, aux, u), dtype=x0.dtype)
+        if model.batch_step is not None:
+            nxt = np.asarray(model.batch_step(k, cur, aux, u), dtype=x0.dtype)
         else:
-            hist[k] = cur
-            cur = hist[k + 1]
+            nxt = np.empty_like(cur)
             for idx in np.ndindex(x0.shape[:-1]):
-                own, nxt, draws = hist[(slice(0, k + 1), *idx)], cur[idx], u[idx]
+                here, out, draws = cur[idx], nxt[idx], u[idx]
                 for v in range(len(aux.degrees)):
-                    nb = aux.indices[aux.indptr[v] : aux.indptr[v + 1]]
-                    if nb.size:
-                        nxt[v] = model.step(k, own[:, v], own[k, nb], float(draws[v]))
-                    else:
-                        nxt[v] = model.isolated_step(k, own[:, v], float(draws[v]))
+                    nb_states = here[aux.indices[aux.indptr[v] : aux.indptr[v + 1]]]
+                    out[v] = model.step(k, here[v], nb_states, float(draws[v]))
+        cur = nxt
         yield cur
 
 
@@ -275,7 +265,7 @@ def _single(model, g, marks, horizon, dt, seed: int, streams, noise_index) -> Tr
     paths[0] = x0
     for k, x in enumerate(states(GraphAux.of(graph), x0, vertex, _per_vertex(streams, n)), 1):
         paths[k] = x
-    return TrajectorySet(graph, times, paths, "vector" if x0.ndim == 2 else "discrete")
+    return TrajectorySet(graph, times, paths)
 
 
 def _replicas(model, graph: Graph, marks, horizon, dt, seed: int, replicas: int, record,
@@ -304,7 +294,7 @@ def simulate_discrete(
     streams=0,
     noise_index=None,
 ) -> TrajectorySet:
-    """Run X(k+1) = F(k, X_v[0..k], X_neighbors(k), xi_v(k+1)) for k < k_max."""
+    """Run X_v(k+1) = F(k, X_v(k), X_neighbors(k), xi_v(k+1)) for k < k_max."""
     return _single(model, g, marks, k_max, None, seed, streams, noise_index)
 
 
@@ -368,12 +358,11 @@ def voter_model(alphabet_size: int = 2) -> DiscreteModel:
     multiset, which makes the rule exactly permutation-invariant.
     """
 
-    def step(k, own_hist, neighbors, u):
+    def step(k, own, neighbors, u):
+        if not len(neighbors):
+            return int(own)
         pick = int(u * len(neighbors))
         return int(np.sort(neighbors, kind="stable")[pick])
-
-    def isolated(k, own_hist, u):
-        return int(own_hist[-1])
 
     def batch(k, cur, aux: GraphAux, u):
         # the pick-th smallest neighbor state exceeds s iff at most pick
@@ -386,7 +375,7 @@ def voter_model(alphabet_size: int = 2) -> DiscreteModel:
             nxt += at_most <= pick
         return np.where(aux.degrees > 0, nxt, cur)
 
-    return DiscreteModel("voter", alphabet_size, step, isolated, batch)
+    return DiscreteModel("voter", alphabet_size, step, batch)
 
 
 def noisy_majority_model(epsilon: float = 0.0) -> DiscreteModel:
@@ -395,27 +384,22 @@ def noisy_majority_model(epsilon: float = 0.0) -> DiscreteModel:
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
 
-    def decide(own, ones, total, u):
+    def step(k, own, neighbors, u):
+        ones, total = int(np.sum(neighbors)), len(neighbors)
         if 2 * ones > total:
             out = 1
         elif 2 * ones < total:
             out = 0
         else:
-            out = own
+            out = int(own)
         return 1 - out if u < epsilon else out
-
-    def step(k, own_hist, neighbors, u):
-        return decide(int(own_hist[-1]), int(np.sum(neighbors)), len(neighbors), u)
-
-    def isolated(k, own_hist, u):
-        return decide(int(own_hist[-1]), 0, 0, u)
 
     def batch(k, cur, aux: GraphAux, u):
         ones = np.rint(aux.neighbor_sums(cur.astype(np.float64))).astype(np.int64)
         maj = np.where(2 * ones > aux.degrees, 1, np.where(2 * ones < aux.degrees, 0, cur))
         return np.where(u < epsilon, 1 - maj, maj)
 
-    return DiscreteModel(f"noisy_majority({epsilon})", 2, step, isolated, batch)
+    return DiscreteModel(f"noisy_majority({epsilon})", 2, step, batch)
 
 
 def consensus_sde_model(sigma0: float = 1.0, dim: int = 1) -> DiffusionModel:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import optimize
 
 from . import rng
-from .dynamics import DecayProfile, DiffusionModel, TrajectorySet, simulate
+from .dynamics import DiffusionModel, TrajectorySet, simulate
 
 # not called here: kept bound because the benchmark's tracer patches these names
 from .dynamics import simulate_diffusion, simulate_discrete  # noqa: F401
@@ -24,7 +24,6 @@ from .graphs import Graph, RootedGraph, _from_csr, component_labels
 from .trees import DegreeDist, Forest, sample_forest
 
 __all__ = [
-    "DecayProfile",
     "EmpiricalMeasure",
     "global_empirical",
     "component_empirical",
@@ -54,7 +53,6 @@ class EmpiricalMeasure:
 
     samples: np.ndarray  # (count, T) or (count, T, d)
     times: np.ndarray
-    kind: str  # "discrete" | "vector"
 
     def __post_init__(self):
         if len(self.samples) == 0:
@@ -69,7 +67,7 @@ class EmpiricalMeasure:
 
 def global_empirical(ts: TrajectorySet) -> EmpiricalMeasure:
     """One sample per vertex, weight 1/|G|."""
-    return EmpiricalMeasure(np.moveaxis(ts.paths, 0, 1), ts.times, ts.kind)
+    return EmpiricalMeasure(np.moveaxis(ts.paths, 0, 1), ts.times)
 
 
 def component_empirical(ts: TrajectorySet, comp: RootedGraph) -> EmpiricalMeasure:
@@ -82,23 +80,23 @@ def component_empirical(ts: TrajectorySet, comp: RootedGraph) -> EmpiricalMeasur
         raise ValueError("component vertices do not index this trajectory set")
     if not np.array_equal(comp.graph.degrees, ts.graph.degrees[idx]):
         raise ValueError("component does not match the simulated graph")
-    return EmpiricalMeasure(np.moveaxis(ts.paths[:, idx], 0, 1), ts.times, ts.kind)
+    return EmpiricalMeasure(np.moveaxis(ts.paths[:, idx], 0, 1), ts.times)
 
 
 def tv_discrete(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """Exact total variation between two finite-alphabet trajectory measures."""
-    if a.kind != "discrete" or b.kind != "discrete":
-        raise ValueError("tv_discrete needs finite-alphabet trajectories")
     if len(a.times) != len(b.times) or not np.array_equal(a.times, b.times):
         raise ValueError("time grids differ")
     return frequency_tv(trajectory_frequencies(a), trajectory_frequencies(b))
 
 
 def trajectory_frequencies(m: EmpiricalMeasure, weights=None) -> dict[bytes, float]:
-    """Normalized frequencies of hashed discrete paths, optionally weighted by
-    one finite nonnegative weight per sample (with a positive sum)."""
-    if m.kind != "discrete":
-        raise ValueError("trajectory_frequencies needs finite-alphabet trajectories")
+    """Normalized frequencies of hashed finite-alphabet paths (2-D integer or
+    bool samples), optionally weighted by one finite nonnegative weight per
+    sample (with a positive sum)."""
+    if m.samples.ndim != 2 or m.samples.dtype.kind not in "iub":
+        raise ValueError("finite-alphabet paths need 2-D integer samples, "
+                         f"got {m.samples.ndim}-D {m.samples.dtype}")
     arr = np.ascontiguousarray(m.samples.astype(np.int64))
     if weights is None:
         return {key: c / len(arr) for key, c in Counter(row.tobytes() for row in arr).items()}
@@ -258,7 +256,6 @@ def root_law_monte_carlo(
         raise ValueError("batch_size must be >= 1")
     samples = []
     times = None
-    kind = None
     done = 0
     batch_idx = 0
     while done < replicas:
@@ -269,10 +266,9 @@ def root_law_monte_carlo(
                       dt=dt)
         samples.append(np.moveaxis(ts.paths[:, forest.roots], 0, 1))
         times = ts.times
-        kind = ts.kind
         done += size
         batch_idx += 1
-    return EmpiricalMeasure(np.concatenate(samples, axis=0), times, kind)
+    return EmpiricalMeasure(np.concatenate(samples, axis=0), times)
 
 
 DEPTH_BUMP = 2

@@ -216,6 +216,13 @@ class RootedGraph:
         return self.graph.vertex_count
 
 
+def _rooted(graph: Graph, root: int, origin=None, truncated: bool = False) -> RootedGraph:
+    """Trusted constructor for a graph built connected: no connectivity walk."""
+    rg = RootedGraph.__new__(RootedGraph)
+    vars(rg).update(graph=graph, root=root, origin=origin, truncated=truncated)
+    return rg
+
+
 @dataclass(frozen=True)
 class MarkedGraph:
     """Rooted graph with one mark per vertex.
@@ -279,7 +286,7 @@ def _induced_rooted(g: Graph, vertices: list[int], root: int) -> RootedGraph:
     b = local[nbr]
     keep = a < b  # also drops neighbors outside the set (b = -1)
     sub = _from_edge_arrays(len(verts), np.stack([a[keep], b[keep]], axis=1))
-    return RootedGraph(sub, int(local[root]), origin=tuple(vertices))
+    return _rooted(sub, int(local[root]), origin=tuple(vertices))
 
 
 # ---------------------------------------------------------------------------

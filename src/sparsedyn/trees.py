@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from . import rng
-from .graphs import Graph, RootedGraph, _from_csr
+from .graphs import Graph, RootedGraph, _from_csr, _rooted
 
 DEFAULT_VERTEX_BUDGET = 200_000
 
@@ -245,7 +245,7 @@ def _forest_graph(roots: int, parent: np.ndarray) -> Graph:
 
 
 def _single_tree(forest: Forest) -> RootedGraph:
-    return RootedGraph(forest.graph, 0, truncated=bool(forest.truncated[0]))
+    return _rooted(forest.graph, 0, truncated=bool(forest.truncated[0]))
 
 
 def sample_ugw(
@@ -276,22 +276,22 @@ def extinction_root(rho: DegreeDist) -> float:
     unless phi(1) > 1, and then it is the root of phi = 1 in [0, 1), which
     Newton's method from 1 approaches monotonically from above.  Unlike
     h(q) - q, phi - 1 has a simple root even when theta is 1 up to rounding.
-    With no degree-1 mass h(0) = 0, so the root is exactly 0.
+    Near 0 that root is accurate only in absolute terms, so two steps of the
+    contraction q <- h(q) follow.  With no degree-1 mass h(0) = 0, so the root
+    is exactly 0.
     """
-    hat = size_biased(rho).probabilities
-    if hat[0] == 0.0:
+    hat = size_biased(rho)
+    if hat.probabilities[0] == 0.0:
         return 0.0
-    phi = np.cumsum(hat[::-1])[:-1]  # P(hat > j), highest power j first
+    phi = np.cumsum(hat.probabilities[::-1])[:-1]  # P(hat > j), highest power j first
     slope = np.polyder(phi)
-    q = 1.0
+    q, step = 1.0, 1.0
     for _ in range(_NEWTON_MAX_ITER):
         excess = float(np.polyval(phi, q)) - 1.0
-        if excess <= 0.0:
-            return q
+        if excess <= 0.0 or step < _NEWTON_TOL:
+            return q if q == 1.0 else hat.pgf(hat.pgf(q))
         step = excess / float(np.polyval(slope, q))
         q = max(q - step, 0.0)
-        if step < _NEWTON_TOL:
-            return q
     raise RuntimeError(f"Newton iteration did not converge in {_NEWTON_MAX_ITER} steps")
 
 

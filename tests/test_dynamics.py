@@ -49,12 +49,13 @@ class TestDiscreteEngine:
         assert np.all(ts.paths[:, 2] == 1)
 
     def test_batch_equals_scalar_bitwise(self):
-        g = gen_lattice_box(2, 3).graph
-        marks = (np.arange(g.vertex_count) * 7 % 2).astype(np.int64)
-        for model in (voter_model(), noisy_majority_model(epsilon=0.2)):
-            a = simulate_discrete(g, marks, model, 5, seed=9)
-            b = simulate_discrete(g, marks, dataclasses.replace(model, batch_step=None), 5, seed=9)
-            assert np.array_equal(a.paths, b.paths), model.name
+        # the second graph hands the scalar rules empty neighborhoods
+        for g in (gen_lattice_box(2, 3).graph, Graph.from_edges(6, [(0, 1), (1, 2)])):
+            marks = (np.arange(g.vertex_count) * 7 % 2).astype(np.int64)
+            for model in (voter_model(), noisy_majority_model(epsilon=0.2)):
+                a = simulate_discrete(g, marks, model, 5, seed=9)
+                b = simulate_discrete(g, marks, dataclasses.replace(model, batch_step=None), 5, seed=9)
+                assert np.array_equal(a.paths, b.paths), model.name
 
     def test_determinism(self):
         model = voter_model()
@@ -74,7 +75,7 @@ class TestDiscreteEngine:
             m = int(gen.integers(1, 8))
             nbs = gen.integers(0, 3, size=m)
             u = float(gen.random())
-            own = np.array([1])
+            own = 1
             shuffled = gen.permutation(nbs)
             assert voter.step(0, own, nbs, u) == voter.step(0, own, shuffled, u)
             nbs2 = (nbs % 2).astype(np.int64)
@@ -239,8 +240,7 @@ class TestReplicaBatching:
     def test_batch_rule_reads_the_current_state(self):
         # a rule that reads its input as the current state: X(k) = X(0) + k mod 5.
         # The replica engine used to hand batch_step a one-row history instead.
-        step = lambda k, own, nb, u: (int(own[-1]) + 1) % 5
-        model = dynamics.DiscreteModel("count", 5, step, lambda k, own, u: (int(own[-1]) + 1) % 5,
+        model = dynamics.DiscreteModel("count", 5, lambda k, own, nb, u: (int(own) + 1) % 5,
                                        batch_step=lambda k, cur, aux, u: (cur + 1) % 5)
         marks = np.array([0, 3, 4])
         expect = (marks[None, :] + np.arange(4)[:, None]) % 5
@@ -517,7 +517,7 @@ class TestEngineBoundary:
         # replica_paths_discrete used to cast float marks and states to int64 (all zeros here)
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         marks = [0.25, 0.5, 0.75]
-        model = DiscreteModel("drift", 2, lambda k, h, nb, u: h[-1] + u, lambda k, h, u: h[-1] + u,
+        model = DiscreteModel("drift", 2, lambda k, own, nb, u: own + u,
                               (lambda k, cur, aux, u: cur + u) if batch else None)
         block = replica_paths_discrete(g, marks, model, 3, 5, 4, [0, 1, 2], replica_offset=2)
         assert block.dtype == np.float64

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sparsedyn
-from sparsedyn.dynamics import consensus_sde_model, simulate_discrete, voter_model
+from sparsedyn.dynamics import DiscreteModel, consensus_sde_model, simulate_discrete, voter_model
 from sparsedyn.empirical import (
     EmpiricalMeasure,
     bernoulli_init,
@@ -38,14 +38,15 @@ from sparsedyn.graphs import (
     component_of,
     gen_erdos_renyi,
     gen_lattice_box,
+    gen_random_regular,
 )
 from sparsedyn.trees import poisson_dist
 
 
-def measure_from(paths, kind="discrete"):
+def measure_from(paths):
     paths = np.asarray(paths)
     times = np.arange(paths.shape[1])
-    return EmpiricalMeasure(paths, times, kind)
+    return EmpiricalMeasure(paths, times)
 
 
 class TestEmpiricalBasics:
@@ -63,7 +64,7 @@ class TestEmpiricalBasics:
 
     def test_nonempty_required(self):
         with pytest.raises(ValueError):
-            EmpiricalMeasure(np.zeros((0, 3)), np.arange(3), "discrete")
+            EmpiricalMeasure(np.zeros((0, 3)), np.arange(3))
 
     def test_component_restriction(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
@@ -158,7 +159,20 @@ class TestTrajectoryFrequencies:
 
     def test_vector_paths_rejected(self):
         with pytest.raises(ValueError, match="finite-alphabet"):
-            trajectory_frequencies(measure_from([[0.5, 1.0]], kind="vector"))
+            trajectory_frequencies(measure_from([[0.5, 1.0]]))
+        with pytest.raises(ValueError, match="finite-alphabet"):
+            trajectory_frequencies(measure_from(np.zeros((2, 3, 1), dtype=np.int64)))
+
+    def test_float_state_discrete_paths_rejected(self):
+        # a discrete run on float marks used to count as finite-alphabet and be
+        # cast to int64: 20 distinct paths on each side gave a TV of 0.1
+        model = DiscreteModel("drift", 2, lambda k, own, nb, u: own + u,
+                              batch_step=lambda k, cur, aux, u: cur + u)
+        g = gen_random_regular(20, 3, 1)
+        a, b = (global_empirical(simulate_discrete(g, np.full(20, 0.1), model, 2, seed)) for seed in (1, 2))
+        assert len({row.tobytes() for row in a.samples}) == len({row.tobytes() for row in b.samples}) == 20
+        with pytest.raises(ValueError, match="finite-alphabet"):
+            tv_discrete(a, b)
 
     @pytest.mark.parametrize("weights", [
         [1.0],  # used to return the law of the first row alone
@@ -201,13 +215,13 @@ class TestWasserstein:
     def test_identical_zero(self):
         gen = np.random.default_rng(2)
         for rows in (30, 1000):  # 1000 exceeds max_samples, so both sides are subsampled
-            a = EmpiricalMeasure(gen.normal(0, 1, (rows, 5)), np.linspace(0, 1, 5), "vector")
+            a = EmpiricalMeasure(gen.normal(0, 1, (rows, 5)), np.linspace(0, 1, 5))
             assert wasserstein1_paths(a, a, t=1.0, seed=7) == 0.0
 
     def test_constant_point_masses(self):
         times = np.linspace(0, 1, 4)
-        a = EmpiricalMeasure(np.full((1, 4), 2.0), times, "vector")
-        b = EmpiricalMeasure(np.full((1, 4), -1.5), times, "vector")
+        a = EmpiricalMeasure(np.full((1, 4), 2.0), times)
+        b = EmpiricalMeasure(np.full((1, 4), -1.5), times)
         assert abs(wasserstein1_paths(a, b, t=1.0) - 3.5) < 1e-12
 
     def test_translation(self):
@@ -216,14 +230,14 @@ class TestWasserstein:
         times = np.linspace(0, 1, 6)
         for rows in (40, 1000):
             base = gen.normal(0, 1, (rows, 6))
-            a = EmpiricalMeasure(base, times, "vector")
-            b = EmpiricalMeasure(base + delta, times, "vector")
+            a = EmpiricalMeasure(base, times)
+            b = EmpiricalMeasure(base + delta, times)
             assert abs(wasserstein1_paths(a, b, t=1.0, seed=1) - delta) < 1e-9
 
     def test_triangle_inequality(self):
         gen = np.random.default_rng(4)
         times = np.linspace(0, 1, 4)
-        ms = [EmpiricalMeasure(gen.normal(0, 1, (12, 4)), times, "vector") for _ in range(3)]
+        ms = [EmpiricalMeasure(gen.normal(0, 1, (12, 4)), times) for _ in range(3)]
         for a, b, c in itertools.permutations(ms, 3):
             dab = wasserstein1_paths(a, b, t=1.0, seed=0)
             dbc = wasserstein1_paths(b, c, t=1.0, seed=0)
@@ -232,8 +246,8 @@ class TestWasserstein:
 
     def test_truncation_in_time(self):
         times = np.array([0.0, 0.5, 1.0])
-        a = EmpiricalMeasure(np.array([[0.0, 0.0, 0.0]]), times, "vector")
-        b = EmpiricalMeasure(np.array([[0.0, 0.0, 9.0]]), times, "vector")
+        a = EmpiricalMeasure(np.array([[0.0, 0.0, 0.0]]), times)
+        b = EmpiricalMeasure(np.array([[0.0, 0.0, 9.0]]), times)
         assert wasserstein1_paths(a, b, t=0.6) == 0.0
         assert wasserstein1_paths(a, b, t=1.0) == 9.0
 
@@ -402,8 +416,8 @@ from sparsedyn.localtopo import BallHistogram, histogram_tv
 
 gen = np.random.default_rng(7)
 t = np.arange(5)
-a = EmpiricalMeasure(gen.integers(0, 3, (999, 5)), t, "discrete")
-b = EmpiricalMeasure(np.minimum(gen.integers(0, 4, (1110, 5)), 2), t, "discrete")
+a = EmpiricalMeasure(gen.integers(0, 3, (999, 5)), t)
+b = EmpiricalMeasure(np.minimum(gen.integers(0, 4, (1110, 5)), 2), t)
 ca = {bytes([i]): int(c) for i, c in enumerate(gen.integers(1, 50, 40))}
 cb = {bytes([i + 20]): int(c) for i, c in enumerate(gen.integers(1, 70, 40))}
 ha = BallHistogram(ca, 2, sum(ca.values()))

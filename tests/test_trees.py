@@ -245,6 +245,14 @@ class TestDuality:
         assert abs(th * report.beta - poisson_dual(th)) < 1e-9
         assert abs(report.survival - survival_prob(poisson_dist(th))) <= 1e-15
 
+    def test_extinction_root_is_relative_accurate(self):
+        # Newton's method alone stopped on rounding noise near 0: at theta = 40
+        # it returned 1.95e-16 for a root of 4.25e-18
+        for th in (10.0, 30.0, 40.0, 60.0):
+            assert extinction_root(poisson_dist(th)) == pytest.approx(poisson_dual(th) / th, rel=1e-9, abs=0.0)
+        dual_theta = dual_distribution(poisson_dist(30.0)).dual_theta
+        assert dual_theta == pytest.approx(poisson_dual(30.0), rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize("spec", [{0: 0.1, 3: 0.9}, {0: 0.3, 2: 0.1, 4: 0.6}])
     def test_no_degree_one_mass_gives_no_children(self, spec):
         # a tree stays finite only if the root has no child: the dual is delta_0
