@@ -351,20 +351,30 @@ def _sorted_sum(values: np.ndarray) -> float:
     return float(np.sort(values, kind="stable").sum())
 
 
+def _check_symbols(states, name: str) -> None:
+    """Finite-alphabet rules take integer (or bool) states only."""
+    kind = np.asarray(states).dtype.kind
+    if kind not in "iub":
+        raise ValueError(f"{name} needs integer marks, got dtype kind {kind!r}")
+
+
 def voter_model(alphabet_size: int = 2) -> DiscreteModel:
     """Adopt the state of a uniformly chosen neighbor; isolated vertices hold.
 
     The uniform choice is realized as an order statistic of the neighbor
-    multiset, which makes the rule exactly permutation-invariant.
+    multiset, which makes the rule exactly permutation-invariant.  Both rules
+    raise ``ValueError`` on float states.
     """
 
     def step(k, own, neighbors, u):
+        _check_symbols(neighbors, "voter")
         if not len(neighbors):
             return int(own)
         pick = int(u * len(neighbors))
         return int(np.sort(neighbors, kind="stable")[pick])
 
     def batch(k, cur, aux: GraphAux, u):
+        _check_symbols(cur, "voter")
         # the pick-th smallest neighbor state exceeds s iff at most pick
         # neighbors hold a state <= s (counts are exact in float64)
         pick = np.floor(u * aux.degrees)
@@ -380,11 +390,13 @@ def voter_model(alphabet_size: int = 2) -> DiscreteModel:
 
 def noisy_majority_model(epsilon: float = 0.0) -> DiscreteModel:
     """Binary majority of neighbors, ties kept at the current state, then an
-    independent flip with probability epsilon."""
+    independent flip with probability epsilon.  Both rules raise
+    ``ValueError`` on float states."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
 
     def step(k, own, neighbors, u):
+        _check_symbols(neighbors, "noisy_majority")
         ones, total = int(np.sum(neighbors)), len(neighbors)
         if 2 * ones > total:
             out = 1
@@ -395,6 +407,7 @@ def noisy_majority_model(epsilon: float = 0.0) -> DiscreteModel:
         return 1 - out if u < epsilon else out
 
     def batch(k, cur, aux: GraphAux, u):
+        _check_symbols(cur, "noisy_majority")
         ones = np.rint(aux.neighbor_sums(cur.astype(np.float64))).astype(np.int64)
         maj = np.where(2 * ones > aux.degrees, 1, np.where(2 * ones < aux.degrees, 0, cur))
         return np.where(u < epsilon, 1 - maj, maj)

@@ -8,6 +8,13 @@ AHU code (prefix ``(``).  A cyclic ball is coded by a pruned placement
 search over its core alone, whose vertices carry their hanging-tree codes
 (prefix ``G``).  The placements that attain the code are also the core
 isomorphisms the marked local metric minimizes over.
+
+The histograms code tree balls in bulk instead, by message refinement
+(``_unrolled_codes``) over a whole graph: every vertex of a graph in
+``neighborhood_histogram``, and the roots of the disjoint union of all tree
+samples, cut to their radius-r balls, in ``histogram_of_samples``.  Only
+balls found cyclic are walked one at a time.  Both give exactly the codes,
+counts and order of coding every ball on its own.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from scipy.sparse import csgraph
 
 from . import rng
 from .empirical import frequency_tv
-from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, _rows
+from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, _from_csr, _rows
 
 # the placement search recurses once per core vertex; _EFFORT_CAP bounds its
 # leaves, and so the placements d_star_marked reads
@@ -358,16 +365,67 @@ def neighborhood_histogram(g: Graph, r: int) -> BallHistogram:
     return BallHistogram(counts, r, g.vertex_count)
 
 
+def _tree_root_codes(samples: list[RootedGraph], r: int) -> list[BallCode]:
+    """Radius-r root ball codes of rooted trees, coded together.
+
+    The trees are stacked into one disjoint union, and the union is cut to
+    the radius-r balls of the roots: levels grow from all roots at once, and
+    the induced subgraph keeps its vertices in order, so its rows stay
+    sorted.  One ``_unrolled_codes`` pass over the cut codes every ball.
+    """
+    ptrs = [rg.graph.indptr for rg in samples]
+    sizes = np.array([len(p) - 1 for p in ptrs])
+    first = np.cumsum(sizes) - sizes  # each tree's first vertex in the union
+    lengths = 2 * (sizes - 1)  # adjacency entries of a tree
+    indptr = np.concatenate([np.zeros(1, dtype=np.int64)] + [p[1:] for p in ptrs])
+    indptr[1:] += np.repeat(np.cumsum(lengths) - lengths, sizes)
+    indices = np.concatenate([rg.graph.indices for rg in samples]) + np.repeat(first, lengths)
+    union = _from_csr(indptr, indices)
+    roots = first + [rg.root for rg in samples]
+    inside = np.zeros(union.vertex_count, dtype=bool)
+    inside[roots] = True
+    level = roots
+    for _ in range(r):  # in a forest, the new neighbors of a level are distinct
+        level = _rows(union, level)[1]
+        level = level[~inside[level]]
+        inside[level] = True
+    if not inside.all():
+        local = np.cumsum(inside) - 1  # increasing, so kept rows stay sorted
+        src, dst = union.edge_src, union.indices
+        keep = inside[src] & inside[dst]
+        indptr = np.zeros(local[-1] + 2, dtype=np.int64)
+        np.cumsum(np.bincount(local[src[keep]], minlength=local[-1] + 1), out=indptr[1:])
+        union, roots = _from_csr(indptr, local[dst[keep]]), local[roots]
+    codes = _unrolled_codes(union, r)
+    return [codes[v] for v in roots.tolist()]
+
+
 def histogram_of_samples(samples, r: int) -> BallHistogram:
-    """Histogram of radius-r root ball codes over an iterable of RootedGraphs."""
+    """Histogram of radius-r root ball codes over an iterable of RootedGraphs.
+
+    A rooted graph is connected, so it is a tree exactly when it has one
+    edge fewer than vertices.  The tree samples are coded together, by one
+    message refinement over the disjoint union of their radius-r balls (see
+    ``_tree_root_codes``); each cyclic sample is walked and coded on its own
+    as it arrives.  Codes, counts, their order and the total are those of
+    coding every sample's ball on its own, in sample order.
+    """
     _check_radius(r)
-    counts: dict[BallCode, int] = {}
-    total = 0
+    codes: list[BallCode | None] = []  # None: a tree, coded in bulk below
+    forest: list[RootedGraph] = []
     for rg in samples:
-        code = _ball_code_from(rg.graph, rg.root, r)
+        if rg.graph.edge_count == rg.vertex_count - 1:
+            forest.append(rg)
+            codes.append(None)
+        else:
+            codes.append(_ball_code_from(rg.graph, rg.root, r))
+    bulk = iter(_tree_root_codes(forest, r) if forest else ())
+    counts: dict[BallCode, int] = {}
+    for code in codes:
+        if code is None:
+            code = next(bulk)
         counts[code] = counts.get(code, 0) + 1
-        total += 1
-    return BallHistogram(counts, r, total)
+    return BallHistogram(counts, r, len(codes))
 
 
 def histogram_tv(a: BallHistogram, b: BallHistogram) -> float:
@@ -389,7 +447,11 @@ def lw_deficiency(
     """TV between g's ball-type histogram and a Monte Carlo histogram of the limit.
 
     ``limit_ball_sampler`` receives a derived seed per draw and returns a rooted
-    graph whose radius-r root ball is the quantity being compared.
+    graph whose radius-r root ball is the quantity being compared.  Both
+    sides code tree balls in bulk: ``neighborhood_histogram`` over g, and
+    ``histogram_of_samples`` over the draws, which are tree samples whenever
+    they have one edge fewer than vertices; cyclic balls and cyclic samples
+    are coded one at a time.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

@@ -26,25 +26,28 @@ def _as_u64(value) -> np.ndarray:
 
 
 def _mix(h: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on uint64 values, in place on arrays (modular arithmetic intended)."""
-    with np.errstate(over="ignore"):
-        h ^= h >> _U64(30)
-        h *= _MIX1
-        h ^= h >> _U64(27)
-        h *= _MIX2
-        h ^= h >> _U64(31)
+    """splitmix64 finalizer on uint64 values, in place on the array ``h``.
+
+    The arithmetic is modular: integer ufuncs on arrays, 0-d ones included,
+    wrap without an overflow warning.  Only numpy scalar arithmetic warns, so
+    ``h`` must be an array.
+    """
+    h ^= h >> _U64(30)
+    h *= _MIX1
+    h ^= h >> _U64(27)
+    h *= _MIX2
+    h ^= h >> _U64(31)
     return h
 
 
 def _fold(h: np.ndarray, value) -> np.ndarray:
     """``_mix(h + golden + value)``, written into ``h`` once ``h`` has the broadcast shape."""
     value = _as_u64(value)
-    with np.errstate(over="ignore"):
-        if not value.ndim or h.shape == np.broadcast_shapes(h.shape, value.shape):
-            h += value
-        else:
-            h = h + value
-        h += _GOLDEN
+    if not value.ndim or h.shape == np.broadcast_shapes(h.shape, value.shape):
+        h += value
+    else:
+        h = h + value
+    h += _GOLDEN
     return _mix(h)
 
 

@@ -7,6 +7,7 @@ every downstream sum finite and exact to far below the test tolerances.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -172,8 +173,7 @@ def _tree_sums(tree: np.ndarray, counts: np.ndarray, trees: int) -> np.ndarray:
 
 
 def _draw_counts(dist: DegreeDist, gen: np.random.Generator, size: int) -> np.ndarray:
-    u = gen.random(size)
-    return np.searchsorted(dist.cdf, u, side="right").astype(np.int64)
+    return dist.cdf.searchsorted(gen.random(size), side="right")
 
 
 def sample_forest(
@@ -191,6 +191,12 @@ def sample_forest(
     ``child_dist``.  A tree whose vertex count would exceed the budget stops
     growing and is flagged truncated (not an error: supercritical trees are
     infinite with positive probability).
+
+    Every other tree holds at least its root, so no tree can exceed the budget
+    while the forest's vertex count minus ``count - 1`` stays within it.  Until
+    a generation breaks that scalar bound, per-tree vertex counts are not
+    kept; from then on each generation sums its offspring per tree and drops
+    the offspring of trees that would exceed the budget.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -198,29 +204,37 @@ def sample_forest(
         raise ValueError("count must be >= 1")
     gen = rng.generator(seed, 0x5547)
     roots = np.arange(count, dtype=np.int64)
-    sizes = np.ones(count, dtype=np.int64)
     truncated = np.zeros(count, dtype=bool)
-    parents = [np.zeros(0, dtype=np.int64)]  # of vertices count, count + 1, ...
-    active = active_tree = roots
+    parents = [roots]  # each vertex's parent, generation by generation; a root is its own
+    sizes = None  # vertices per tree, kept once the scalar bound fails
+    active = roots
     next_id = count
     for gen_idx in range(depth):
-        if active.size == 0:
+        if not len(active):
             break
-        counts = _draw_counts(root_dist if gen_idx == 0 else child_dist, gen, active.size)
-        # enforce the per-tree budget by dropping offspring of saturated trees
-        proposed = sizes + _tree_sums(active_tree, counts, count)
-        over = proposed > vertex_budget
-        if over.any():
-            truncated |= over
-            counts = np.where(over[active_tree], 0, counts)
-            sizes = sizes + _tree_sums(active_tree, counts, count)
-        else:
-            sizes = proposed
-        parents.append(active.repeat(counts))
-        active_tree = active_tree.repeat(counts)
-        active = np.arange(next_id, next_id + len(active_tree), dtype=np.int64)
-        next_id += len(active_tree)
-    return Forest(_forest_graph(count, np.concatenate(parents)), roots, truncated)
+        counts = _draw_counts(root_dist if gen_idx == 0 else child_dist, gen, len(active))
+        kids = active.repeat(counts)
+        if sizes is None and next_id + len(kids) - (count - 1) > vertex_budget:
+            tree = np.concatenate(parents)  # each vertex's tree, once parents are resolved
+            for lo, hi in itertools.pairwise(np.cumsum([len(p) for p in parents]).tolist()):
+                tree[lo:hi] = tree[tree[lo:hi]]
+            sizes = np.bincount(tree, minlength=count)
+            active_tree = tree[next_id - len(active):]
+        if sizes is not None:
+            proposed = sizes + _tree_sums(active_tree, counts, count)
+            over = proposed > vertex_budget
+            if over.any():
+                truncated |= over
+                counts = np.where(over[active_tree], 0, counts)
+                kids = active.repeat(counts)
+                sizes = sizes + _tree_sums(active_tree, counts, count)
+            else:
+                sizes = proposed
+            active_tree = active_tree.repeat(counts)
+        parents.append(kids)
+        active = np.arange(next_id, next_id + len(kids), dtype=np.int64)
+        next_id += len(kids)
+    return Forest(_forest_graph(count, np.concatenate(parents)[count:]), roots, truncated)
 
 
 def _forest_graph(roots: int, parent: np.ndarray) -> Graph:
@@ -229,18 +243,20 @@ def _forest_graph(roots: int, parent: np.ndarray) -> Graph:
 
     Each row holds the vertex's parent, then its children, whose ids are
     consecutive and larger.  Taking the rows in order, the child entries are
-    therefore all non-roots in id order, and no sort is needed.
+    therefore all non-roots in id order, and no sort is needed: vertex
+    ``roots + i`` is child entry ``i``, and the rows up to its parent's add
+    one parent entry each before it.
     """
     n = roots + len(parent)
     deg = np.bincount(parent, minlength=n)
     deg[roots:] += 1
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    up = np.zeros(indptr[-1], dtype=bool)
-    up[indptr[roots:-1]] = True
+    deg.cumsum(out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int64)
-    indices[up] = parent
-    indices[~up] = np.arange(roots, n)
+    indices[indptr[roots:-1]] = parent
+    down = np.maximum(parent, roots - 1)
+    down += np.arange(1 - roots, n - 2 * roots + 1)
+    indices[down] = np.arange(roots, n)
     return _from_csr(indptr, indices)
 
 

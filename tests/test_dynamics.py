@@ -484,9 +484,18 @@ class TestEngineBoundary:
             replica_paths_discrete(g, marks, voter_model(), 3, seed=1, replicas=2, record=[0])
 
     def test_float_marks_are_not_symbols(self):
-        model = dataclasses.replace(noisy_majority_model(epsilon=0.0), batch_step=None)
+        model = DiscreteModel("hold", 2, lambda k, own, nb, u: own)
         ts = simulate_discrete(TRIANGLE, np.array([0.0, 1.0, 1.0]), model, 2, seed=1)
         assert ts.paths.dtype == np.float64
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    @pytest.mark.parametrize("model", [voter_model(), noisy_majority_model(epsilon=0.0)], ids=["voter", "majority"])
+    def test_finite_alphabet_models_reject_float_marks(self, model, scalar):
+        # one step from [0.3, 0.7] gave [1, 1] on the voter's batch path and [0, 0] on its scalar path
+        if scalar:
+            model = dataclasses.replace(model, batch_step=None)
+        with pytest.raises(ValueError, match="integer marks"):
+            simulate_discrete(K2, np.array([0.3, 0.7]), model, 1, seed=1)
 
     @pytest.mark.parametrize("bad", [-1, -2, 3, 5])
     @pytest.mark.parametrize("entry", ["replica_discrete", "replica_diffusion", "decay_pair"])

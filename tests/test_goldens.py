@@ -56,6 +56,23 @@ def _forest(count, seed, **kwargs):
     return _digest(f.graph.edges(), f.roots, f.truncated, np.array([f.graph.vertex_count], dtype=np.int64))
 
 
+def _forest_partly_truncated():
+    # deeper than the other forest cases, so trees meet the budget at later generations
+    f = trees.sample_forest(RHO, trees.size_biased(RHO), 6, 8, 60, vertex_budget=150)
+    assert 0 < f.truncated.sum() < 8
+    return _digest(f.graph.indptr, f.graph.indices, f.roots, f.truncated)
+
+
+def _ugw_draws():
+    parts = []
+    for rho in (trees.delta_dist(3), RHO):
+        for depth in (2, 4):
+            for i in range(200):
+                rg = trees.sample_ugw(rho, depth, rng.stream_key(58, i))
+                parts += [rg.graph.indptr, rg.graph.indices, np.array([rg.root, rg.truncated], dtype=np.int64)]
+    return _digest(*parts)
+
+
 def _fixed_forest():
     rg = graphs.gen_canopy_truncation(3, 3, 1, root_level=1)
     f = empirical.fixed_graph_sampler(rg)(7, 0)
@@ -225,6 +242,22 @@ def _limit_histogram_regular():
                    np.array([h.counts[c] for c in codes] + [h.total], dtype=np.int64))
 
 
+def _limit_histogram_mixed():
+    # trees deeper than r, a truncated tree, a single vertex, cycles and a
+    # lattice ball; codes are digested in insertion order
+    cut = trees.sample_ugw(RHO, 6, 61, vertex_budget=12)
+    assert cut.truncated
+    cycle = graphs.RootedGraph(graphs.Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]), 3)
+    path = graphs.RootedGraph(graphs.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), 1)
+    samples = [trees.sample_ugw(RHO, 4, rng.stream_key(62, i)) for i in range(40)]
+    samples[3:3] = [cut, graphs.RootedGraph(graphs.Graph(((),)), 0), cycle, graphs.gen_lattice_box(2, 2), path]
+    samples += [cycle, graphs.ball(graphs.component_of(graphs.gen_random_regular(60, 3, 63), 5), 3)]
+    h = localtopo.histogram_of_samples(iter(samples), 2)
+    codes = list(h.counts)
+    return _digest(np.frombuffer(b"|".join(codes), dtype=np.uint8),
+                   np.array([h.counts[c] for c in codes] + [h.total], dtype=np.int64))
+
+
 def _stream_keys():
     # seeds and parts that are negative, at least 2**64 or numpy integers
     gen = np.random.default_rng(57)
@@ -270,6 +303,8 @@ CASES = {
     "ball": lambda: _rooted(graphs.ball(graphs.component_of(graphs.gen_random_regular(400, 3, 6), 9), 3)),
     "sample_forest": lambda: _forest(400, 7),
     "sample_forest_truncated": lambda: _forest(20, 8, vertex_budget=40),
+    "sample_forest_partly_truncated": _forest_partly_truncated,
+    "sample_ugw_draws": _ugw_draws,
     "fixed_graph_sampler": _fixed_forest,
     "root_law_monte_carlo": _root_law,
     "neighborhood_histogram": lambda: _histogram(
@@ -304,6 +339,7 @@ CASES = {
     "histogram_regular_r3": lambda: _histogram(graphs.gen_random_regular(500, 3, 55), 3),
     "histogram_lattice": lambda: _histogram(graphs.gen_lattice_box(2, 4).graph, 2),
     "limit_histogram_regular": _limit_histogram_regular,
+    "limit_histogram_mixed": _limit_histogram_mixed,
     "stream_keys": _stream_keys,
     "path_laws": _path_laws,
 }
@@ -333,6 +369,7 @@ GOLDEN = {
     "histogram_regular_r3": "67eedaf7b83b1b675ef73312dcf6b9a529817ad9fe4692fff91c89c69dfedd21",
     "lattice_box": "ad3f490503148e3b13ba309b526e49c35e25521a6b776aa3fbf21dcd11f42045",
     "limit_histogram": "f30b7119ff56b2a47ae2208d2fa57cf3f9ebaaeef4a48ce9abf6f12c9590d3dc",
+    "limit_histogram_mixed": "d2e95369d8353ada111e2322edbcf01765fce2ede9ef9c5efbb7a4c60477c9a8",
     "limit_histogram_regular": "2ce34c4a234d2fa31d3c983d3439eccbde58a1b5d0dd95a7ab257195a7d5495f",
     "neighborhood_histogram": "adb318c41e639d434c0ae1ab36a416f28f6ef3acf04617ef39d5aea0fedfee2f",
     "path_laws": "613e185b8b9f2764eb4b97708341552a77af7270d9accc50e8f8facc9f813541",
@@ -343,7 +380,9 @@ GOLDEN = {
     "root_law_diffusion": "357d9838b72cffbb76cc35a30ce5118ad1f88dd94600eff100e5004b8faa2e77",
     "root_law_monte_carlo": "fc2d660205299738de91ca4958682b15c57d484883859d052b6d14697c447f1e",
     "sample_forest": "6f332a9f5d6d26263543ace73c06a4c2956b12d1668ce0074f3021b1dab96741",
+    "sample_forest_partly_truncated": "1e136f558ccec820fb5e354825a58c7d55bfb2d5d12fb6079ef6863f4afc5af4",
     "sample_forest_truncated": "f27ddb169ef162beb2e94a56f2c9baf0f10b3fc9ee620edef98148afd0418f25",
+    "sample_ugw_draws": "915759a72bf7ba6dc3da8798b3bcd0acef052d5d8ec12dfaee0caea18789862e",
     "simulate_consensus_d2": "e4d01dd46d65c69424296278491016dd6b5d96a89696e5807713f7dc0b46eb9f",
     "simulate_consensus_d2_scalar": "40ca8bcf2a3effc17ce53d8548596a427756bcb1aed85fe695670703eb56caf3",
     "simulate_kuramoto": "4b73172342141eea623cab5a779838f07ec835b9109df95079a9795eb2025c1b",

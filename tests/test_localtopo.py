@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsedyn import localtopo
+from sparsedyn import localtopo, trees
 from sparsedyn.graphs import (
     Graph,
     MarkedGraph,
@@ -345,6 +345,47 @@ class TestBulkHistogram:
         want = [len(localtopo._ball(g, v, r)[3]) == 1 for v in range(g.vertex_count)]
         assert localtopo._tree_balls(g, r).tolist() == want
         assert r < 2 or not all(want)
+
+
+@st.composite
+def rooted_samples(draw):
+    """A UGW tree (often deeper than the radius), a tree cut at its vertex
+    budget, a single vertex, a tree renumbered and rooted anywhere, or a
+    component of a small dense graph (often cyclic)."""
+    kind = draw(st.sampled_from(["ugw", "truncated", "vertex", "relabeled", "component"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "ugw":
+        rho = draw(st.sampled_from([trees.poisson_dist(2.0), trees.delta_dist(3), trees.poisson_dist(0.7)]))
+        return trees.sample_ugw(rho, draw(st.integers(0, 6)), seed)
+    if kind == "truncated":
+        return trees.sample_ugw(trees.poisson_dist(3.0), 6, seed, vertex_budget=draw(st.integers(1, 15)))
+    if kind == "vertex":
+        return RootedGraph(Graph(((),)), 0)
+    if kind == "relabeled":
+        tree = trees.sample_ugw(trees.poisson_dist(2.0), draw(st.integers(1, 5)), seed)
+        perm = np.random.default_rng(seed).permutation(tree.vertex_count)
+        g = Graph.from_edges(tree.vertex_count, perm[tree.graph.edges()])
+        return RootedGraph(g, draw(st.integers(0, tree.vertex_count - 1)))
+    g = draw(small_graphs())
+    return component_of(g, draw(st.integers(0, g.vertex_count - 1)))
+
+
+class TestSampleHistogram:
+    """histogram_of_samples codes tree samples in bulk; it must count exactly
+    the codes that coding every sample's ball on its own gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(rooted_samples(), max_size=12), st.integers(0, 4), st.booleans())
+    def test_counts_equal_the_per_sample_tally(self, samples, r, lazy):
+        codes = [localtopo._ball_code_from(rg.graph, rg.root, r) for rg in samples]
+        h = histogram_of_samples((rg for rg in samples) if lazy else samples, r)
+        assert h.counts == collections.Counter(codes) and h.total == len(samples)
+        assert list(h.counts) == list(dict.fromkeys(codes))
+
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_empty_iterable(self, r):
+        h = histogram_of_samples(iter(()), r)
+        assert h.counts == {} and h.total == 0
 
 
 class TestPeeledCoder:

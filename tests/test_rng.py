@@ -45,10 +45,10 @@ def test_scalar_draws_and_inputs_left_alone(draw):
 
 def _stream_key_reference(seed, *parts):
     """stream_key as it was first written: splitmix64 folds on numpy uint64 scalars."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # numpy scalar arithmetic warns when it wraps
         h = rng._mix(rng._as_u64(seed) + rng._GOLDEN)
-    for p in parts:
-        h = rng._fold(h, p)
+        for p in parts:
+            h = rng._fold(h, p)
     return int(h)
 
 

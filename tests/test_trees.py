@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import sparsedyn
-from sparsedyn import rng
+from sparsedyn import rng, trees
 from sparsedyn.localtopo import canonical_code
-from sparsedyn.graphs import gen_regular_tree
+from sparsedyn.graphs import Graph, gen_regular_tree
 from sparsedyn.trees import (
     DegreeDist,
     degree_dist,
@@ -180,6 +180,30 @@ class TestSamplers:
         cut = sample_forest(poisson_dist(3.0), poisson_dist(3.0), depth=4, count=30, seed=9, vertex_budget=12)
         cut.graph.validate()
         assert cut.truncated.any() and not cut.truncated.all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(2.0, 2.0), (3.0, 3.0), (0.8, 1.5)]), st.integers(0, 5), st.integers(1, 12),
+           st.integers(1, 120), st.integers(0, 2**32 - 1))
+    def test_budget_matches_the_per_tree_reference(self, thetas, depth, count, budget, seed):
+        # the reference keeps exact per-tree sizes at every generation and
+        # builds the graph from its edge list
+        root_dist, child_dist = poisson_dist(thetas[0]), poisson_dist(thetas[1])
+        gen = rng.generator(seed, 0x5547)
+        sizes, truncated = np.ones(count, dtype=np.int64), np.zeros(count, dtype=bool)
+        active, active_tree, edges, n = np.arange(count), np.arange(count), [], count
+        for g in range(depth):
+            counts = trees._draw_counts(root_dist if g == 0 else child_dist, gen, len(active))
+            per_tree = np.bincount(active_tree, weights=counts, minlength=count).astype(np.int64)
+            over = sizes + per_tree > budget
+            truncated |= over
+            counts = np.where(over[active_tree], 0, counts)
+            sizes += np.bincount(active_tree, weights=counts, minlength=count).astype(np.int64)
+            kids = np.arange(n, n + counts.sum())
+            edges += zip(active.repeat(counts).tolist(), kids.tolist())
+            active, active_tree, n = kids, active_tree.repeat(counts), n + len(kids)
+        forest = sample_forest(root_dist, child_dist, depth, count, seed, vertex_budget=budget)
+        assert forest.graph == Graph.from_edges(n, edges)
+        assert np.array_equal(forest.truncated, truncated)
 
 
 class TestSurvival:
