@@ -20,7 +20,7 @@ from .dynamics import DiffusionModel, TrajectorySet, simulate
 
 # not called here: kept bound because the benchmark's tracer patches these names
 from .dynamics import simulate_diffusion, simulate_discrete  # noqa: F401
-from .graphs import Graph, RootedGraph, _from_csr, component_labels
+from .graphs import Graph, RootedGraph, _check_radius, _disjoint_union, component_labels
 from .trees import DegreeDist, Forest, sample_forest
 
 __all__ = [
@@ -195,15 +195,10 @@ def gw_forest_sampler(offspring: DegreeDist, depth: int) -> Callable[[int, int],
 
 def fixed_graph_sampler(rg: RootedGraph) -> Callable[[int, int], Forest]:
     """Forest sampler that replicates one fixed rooted graph."""
-    g = rg.graph
-    n, nnz = g.vertex_count, len(g.indices)
 
     def sample(count: int, seed: int) -> Forest:
-        # copy i is the template's CSR shifted by i * n vertices and i * nnz entries
-        copy = np.arange(count, dtype=np.int64)
-        indptr = np.append((g.indptr[:-1] + nnz * copy[:, None]).ravel(), nnz * count)
-        graph = _from_csr(indptr, (g.indices + n * copy[:, None]).ravel())
-        return Forest(graph, rg.root + n * copy, np.zeros(count, dtype=bool))
+        graph, first = _disjoint_union([rg.graph] * count)
+        return Forest(graph, first + rg.root, np.zeros(count, dtype=bool))
 
     return sample
 
@@ -303,12 +298,14 @@ def diffusion_depth_sensitivity(
 def giant_fraction(
     graph_sampler: Callable[[int, int], Graph], n: int, replicas: int, seed: int
 ) -> tuple[float, float]:
-    """Mean and standard error of |C_max| / n over independent graph draws."""
+    """Mean and standard error of |C_max| / n over independent n-vertex graph draws."""
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     fracs = np.empty(replicas)
     for i in range(replicas):
         g = graph_sampler(n, rng.stream_key(seed, 0x4743, i))
+        if g.vertex_count != n:
+            raise ValueError(f"graph sampler returned {g.vertex_count} vertices for n={n}")
         labels = component_labels(g)
         _, counts = np.unique(labels, return_counts=True)
         fracs[i] = counts.max() / n
@@ -376,10 +373,10 @@ def shift_average(
     """Averages of f over all lattice shifts in each requested box.
 
     ``f`` reads the (T+1, (2w+1)^dim) path block of the window centered at the
-    shift.  Every box plus the window must fit inside the simulated lattice.
+    shift.  Radii and box sizes are whole numbers >= 0, and every box plus
+    the window must fit inside the simulated lattice.
     """
-    if window_radius < 0:
-        raise ValueError("window_radius must be >= 0")
+    _check_radius(window_radius, "window_radius")
     n = _lattice_geometry(ts, dim)
     side = 2 * n + 1
     w = window_radius
@@ -388,6 +385,7 @@ def shift_average(
     ).reshape(-1, dim)
     out = []
     for m in box_sizes:
+        _check_radius(m, "box size")
         if m + w > n:
             raise ValueError(f"box {m} plus window {w} exceeds the lattice half-width {n}")
         centers = np.stack(

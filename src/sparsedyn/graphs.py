@@ -34,6 +34,11 @@ def _check_cap(n: int) -> None:
         raise SizeCapError(f"graph would have {n} vertices, above the cap of {SIZE_CAP}")
 
 
+def _check_radius(r, name: str = "radius") -> None:
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 0:
+        raise ValueError(f"{name} must be a whole number >= 0, got {r!r}")
+
+
 def _frozen(a) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.int64)
     a.flags.writeable = False
@@ -277,16 +282,27 @@ def _rows(g: Graph, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return which, g.indices[first + np.arange(len(which))]
 
 
-def _induced_rooted(g: Graph, vertices: list[int], root: int) -> RootedGraph:
-    """Induced subgraph on ``vertices`` (BFS order), reindexed, rooted at ``root``'s image."""
+def _induced(g: Graph, vertices) -> Graph:
+    """Induced subgraph on the distinct ``vertices``, with ``vertices[i]`` renumbered ``i``."""
     verts = np.asarray(vertices, dtype=np.int64)
     local = np.full(g.vertex_count, -1, dtype=np.int64)
     local[verts] = np.arange(len(verts))
     a, nbr = _rows(g, verts)
     b = local[nbr]
     keep = a < b  # also drops neighbors outside the set (b = -1)
-    sub = _from_edge_arrays(len(verts), np.stack([a[keep], b[keep]], axis=1))
-    return _rooted(sub, int(local[root]), origin=tuple(vertices))
+    return _from_edge_arrays(len(verts), np.stack([a[keep], b[keep]], axis=1))
+
+
+def _disjoint_union(graphs) -> tuple[Graph, np.ndarray]:
+    """Disjoint union of ``graphs``, each shifted past the ones before it (so
+    rows stay sorted), and the vertex of the union each one starts at."""
+    sizes = np.array([g.vertex_count for g in graphs], dtype=np.int64)
+    lengths = np.array([len(g.indices) for g in graphs], dtype=np.int64)
+    first = np.cumsum(sizes) - sizes
+    indptr = np.concatenate([np.zeros(1, dtype=np.int64)] + [g.indptr[1:] for g in graphs])
+    indptr[1:] += np.repeat(np.cumsum(lengths) - lengths, sizes)
+    indices = np.concatenate([np.zeros(0, dtype=np.int64)] + [g.indices for g in graphs])
+    return _from_csr(indptr, indices + np.repeat(first, lengths)), first
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +528,7 @@ def component_of(g: Graph, v: int) -> RootedGraph:
     if not 0 <= v < g.vertex_count:
         raise ValueError("vertex out of range")
     order, _ = _bfs(g, v)
-    return _induced_rooted(g, order, v)
+    return _rooted(_induced(g, order), 0, origin=tuple(order))
 
 
 def uniform_root_component(g: Graph, seed: int) -> RootedGraph:
@@ -542,7 +558,6 @@ def largest_component(g: Graph) -> RootedGraph:
 
 def ball(rg: RootedGraph, k: int) -> RootedGraph:
     """Induced subgraph on vertices within distance k of the root."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_radius(k)
     order, _ = _bfs(rg.graph, rg.root, max_depth=k)
-    return _induced_rooted(rg.graph, order, rg.root)
+    return _rooted(_induced(rg.graph, order), 0, origin=tuple(order))

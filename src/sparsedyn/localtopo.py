@@ -9,16 +9,16 @@ search over its core alone, whose vertices carry their hanging-tree codes
 (prefix ``G``).  The placements that attain the code are also the core
 isomorphisms the marked local metric minimizes over.
 
-The histograms code tree balls in bulk instead, by message refinement
-(``_unrolled_codes``) over a whole graph: every vertex of a graph in
-``neighborhood_histogram``, and the roots of the disjoint union of all tree
-samples, cut to their radius-r balls, in ``histogram_of_samples``.  Only
-balls found cyclic are walked one at a time.  Both give exactly the codes,
-counts and order of coding every ball on its own.
+Both histograms tally ``_root_codes`` over a graph's vertices or the roots
+of the samples' disjoint union.  It cuts the graph to the roots' radius-r
+balls under a monotone relabel, which walks every ball as before; an exact
+tree test sends tree balls to one bulk message refinement
+(``_unrolled_codes``) and cyclic ones to ``_ball_code_from``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,13 +28,13 @@ from scipy.sparse import csgraph
 
 from . import rng
 from .empirical import frequency_tv
-from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, _from_csr, _rows
+from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, _check_radius, _disjoint_union, _induced, _rows
 
 # the placement search recurses once per core vertex; _EFFORT_CAP bounds its
 # leaves, and so the placements d_star_marked reads
 GENERAL_CODE_CAP = 64
 _EFFORT_CAP = 500_000
-# roots whose balls the tree test of neighborhood_histogram grows at once
+# roots whose balls the tree test of _root_codes grows at once
 _TREE_TEST_BLOCK = 256
 
 BallCode = bytes
@@ -44,11 +44,6 @@ Ball = tuple[list[int], list[list[int]], list[bytes], dict[int, list[int]]]
 
 class CodeSizeError(ValueError):
     """General-graph canonical encoding requested above the supported size."""
-
-
-def _check_radius(r) -> None:
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise ValueError(f"radius must be a whole number >= 0, got {r!r}")
 
 
 def _ball(g: Graph, v: int, r: int | None) -> Ball:
@@ -275,29 +270,31 @@ class BallHistogram:
         return {c: k / self.total for c, k in self.counts.items()}
 
 
-def _unrolled_codes(g: Graph, r: int) -> list[BallCode]:
-    """Per vertex, the AHU code of its depth-r tree of non-backtracking
-    walks, which is its ball's code whenever the ball is a tree.
+def _unrolled_codes(g: Graph, r: int, roots: np.ndarray) -> list[BallCode]:
+    """Per root, the AHU code of its depth-r tree of non-backtracking walks,
+    which is its ball's code whenever the ball is a tree.
 
     Each adjacency entry a -> b carries a message: the code of the tree
     hanging from b away from a, as a class id ranked like the code bytes, so
     sorted ids give sorted codes.  A round sends a -> b the messages into b
     but the one from a, sorted, in parentheses.  That is fixed by the class
     of b's sorted messages and the message b -> a, and only the distinct
-    pairs are coded in Python.
+    pairs are coded in Python.  The last round classes the roots alone.
     """
     n = g.vertex_count
     src, dst = g.edge_src, g.indices
     back = np.searchsorted(src * n + dst, dst * n + src)  # the entry b -> a of a -> b
     message = np.zeros(len(dst), dtype=np.int64)
     names = [b"()"]
-    bounds = (message.itemsize * g.indptr).tolist()
+    bounds = message.itemsize * g.indptr
     for rnd in range(r):
-        # classes of the sorted multisets of messages into each vertex
+        # classes of the sorted multisets of messages into each vertex, or each root last
         scale = len(names) * src
         packed = (np.sort(scale + message) - scale).tobytes()
         table: dict[bytes, int] = {}
-        into = [table.setdefault(packed[lo:hi], len(table)) for lo, hi in zip(bounds, bounds[1:])]
+        at = roots if rnd == r - 1 else np.arange(n)
+        lo, hi = bounds[at].tolist(), bounds[at + 1].tolist()
+        into = [table.setdefault(packed[a:b], len(table)) for a, b in zip(lo, hi)]
         rows = [np.frombuffer(key, dtype=np.int64).tolist() for key in table]
         if rnd == r - 1:
             codes = [b"(" + b"".join(names[c] for c in row) + b")" for row in rows]
@@ -314,11 +311,11 @@ def _unrolled_codes(g: Graph, r: int) -> list[BallCode]:
         names = sorted(set(refined))
         rank = {code: i for i, code in enumerate(names)}
         message = np.array([rank[code] for code in refined], dtype=np.int64)[np.searchsorted(pairs, pair)]
-    return [b"()"] * n
+    return [b"()"] * len(roots)
 
 
-def _tree_balls(g: Graph, r: int) -> np.ndarray:
-    """Per vertex, whether its radius-r ball is a tree.
+def _tree_balls(g: Graph, r: int, roots: np.ndarray) -> np.ndarray:
+    """Per root, whether its radius-r ball is a tree.
 
     Balls grow by non-backtracking steps, one level at a time, as keys
     root * n + vertex for ``_TREE_TEST_BLOCK`` roots at a time.  A ball is a
@@ -329,8 +326,8 @@ def _tree_balls(g: Graph, r: int) -> np.ndarray:
     """
     n = g.vertex_count
     tree = np.ones(n, dtype=bool)
-    for lo in range(0, n, _TREE_TEST_BLOCK):
-        ball = frontier = np.arange(lo, min(lo + _TREE_TEST_BLOCK, n), dtype=np.int64) * (n + 1)  # root * n + root
+    for lo in range(0, len(roots), _TREE_TEST_BLOCK):
+        ball = frontier = roots[lo : lo + _TREE_TEST_BLOCK] * (n + 1)  # root * n + root
         prev = np.full(len(ball), -1)
         for depth in range(r + 1):
             at, nbr = _rows(g, frontier % n)
@@ -346,86 +343,59 @@ def _tree_balls(g: Graph, r: int) -> np.ndarray:
             live = tree[step // n]
             ball = np.concatenate([ball[tree[ball // n]], step[live]])
             frontier, prev = step[live], frontier[at][live] % n
-    return tree
+    return tree[roots]
+
+
+def _root_codes(g: Graph, roots, r: int) -> list[BallCode]:
+    """``_ball_code_from(g, v, r)`` for each of the distinct ``roots``, in root order.
+
+    ``g`` is cut to the union of the roots' radius-r balls (r levels grown
+    from all roots at once) and renumbered in increasing order: a monotone
+    relabel walks, and so codes, every ball as in ``g``.  Tree balls, as
+    ``_tree_balls`` finds them, are coded in bulk, cyclic ones one at a time.
+    """
+    level = roots = np.asarray(roots, dtype=np.int64)
+    inside = np.zeros(g.vertex_count, dtype=bool)
+    inside[roots] = True
+    for _ in range(r):
+        reached = np.zeros_like(inside)
+        reached[_rows(g, level)[1]] = True
+        level = np.flatnonzero(reached > inside)  # reached for the first time
+        inside[level] = True
+    if not inside.all():
+        kept = np.flatnonzero(inside)
+        g, roots = _induced(g, kept), np.searchsorted(kept, roots)
+    codes = _unrolled_codes(g, r, roots)
+    for i in np.flatnonzero(~_tree_balls(g, r, roots)).tolist():
+        codes[i] = _ball_code_from(g, int(roots[i]), r)
+    return codes
+
+
+def _histogram(codes: list[BallCode], r: int) -> BallHistogram:
+    return BallHistogram(dict(Counter(codes)), r, len(codes))
 
 
 def neighborhood_histogram(g: Graph, r: int) -> BallHistogram:
     """Histogram of canonical codes of the radius-r ball around every vertex.
 
-    Tree balls are coded in bulk by message refinement; only the balls that
-    the exact tree test finds cyclic are walked and coded one at a time.
+    ``_root_codes`` codes tree balls in bulk and cyclic ones one at a time.
     Codes, counts and their order are those of ``_ball_code_from`` per vertex.
     """
     _check_radius(r)
-    counts: dict[BallCode, int] = {}
-    for v, (code, tree) in enumerate(zip(_unrolled_codes(g, r), _tree_balls(g, r).tolist())):
-        if not tree:
-            code = _ball_code_from(g, v, r)
-        counts[code] = counts.get(code, 0) + 1
-    return BallHistogram(counts, r, g.vertex_count)
-
-
-def _tree_root_codes(samples: list[RootedGraph], r: int) -> list[BallCode]:
-    """Radius-r root ball codes of rooted trees, coded together.
-
-    The trees are stacked into one disjoint union, and the union is cut to
-    the radius-r balls of the roots: levels grow from all roots at once, and
-    the induced subgraph keeps its vertices in order, so its rows stay
-    sorted.  One ``_unrolled_codes`` pass over the cut codes every ball.
-    """
-    ptrs = [rg.graph.indptr for rg in samples]
-    sizes = np.array([len(p) - 1 for p in ptrs])
-    first = np.cumsum(sizes) - sizes  # each tree's first vertex in the union
-    lengths = 2 * (sizes - 1)  # adjacency entries of a tree
-    indptr = np.concatenate([np.zeros(1, dtype=np.int64)] + [p[1:] for p in ptrs])
-    indptr[1:] += np.repeat(np.cumsum(lengths) - lengths, sizes)
-    indices = np.concatenate([rg.graph.indices for rg in samples]) + np.repeat(first, lengths)
-    union = _from_csr(indptr, indices)
-    roots = first + [rg.root for rg in samples]
-    inside = np.zeros(union.vertex_count, dtype=bool)
-    inside[roots] = True
-    level = roots
-    for _ in range(r):  # in a forest, the new neighbors of a level are distinct
-        level = _rows(union, level)[1]
-        level = level[~inside[level]]
-        inside[level] = True
-    if not inside.all():
-        local = np.cumsum(inside) - 1  # increasing, so kept rows stay sorted
-        src, dst = union.edge_src, union.indices
-        keep = inside[src] & inside[dst]
-        indptr = np.zeros(local[-1] + 2, dtype=np.int64)
-        np.cumsum(np.bincount(local[src[keep]], minlength=local[-1] + 1), out=indptr[1:])
-        union, roots = _from_csr(indptr, local[dst[keep]]), local[roots]
-    codes = _unrolled_codes(union, r)
-    return [codes[v] for v in roots.tolist()]
+    return _histogram(_root_codes(g, np.arange(g.vertex_count), r), r)
 
 
 def histogram_of_samples(samples, r: int) -> BallHistogram:
     """Histogram of radius-r root ball codes over an iterable of RootedGraphs.
 
-    A rooted graph is connected, so it is a tree exactly when it has one
-    edge fewer than vertices.  The tree samples are coded together, by one
-    message refinement over the disjoint union of their radius-r balls (see
-    ``_tree_root_codes``); each cyclic sample is walked and coded on its own
-    as it arrives.  Codes, counts, their order and the total are those of
-    coding every sample's ball on its own, in sample order.
+    ``_root_codes`` codes all samples' roots in their disjoint union, trees
+    and cyclic samples alike.  Codes, counts, their order and the total are
+    those of coding every sample's ball on its own, in sample order.
     """
     _check_radius(r)
-    codes: list[BallCode | None] = []  # None: a tree, coded in bulk below
-    forest: list[RootedGraph] = []
-    for rg in samples:
-        if rg.graph.edge_count == rg.vertex_count - 1:
-            forest.append(rg)
-            codes.append(None)
-        else:
-            codes.append(_ball_code_from(rg.graph, rg.root, r))
-    bulk = iter(_tree_root_codes(forest, r) if forest else ())
-    counts: dict[BallCode, int] = {}
-    for code in codes:
-        if code is None:
-            code = next(bulk)
-        counts[code] = counts.get(code, 0) + 1
-    return BallHistogram(counts, r, len(codes))
+    samples = list(samples)
+    union, first = _disjoint_union([rg.graph for rg in samples])
+    return _histogram(_root_codes(union, first + [rg.root for rg in samples], r), r)
 
 
 def histogram_tv(a: BallHistogram, b: BallHistogram) -> float:
@@ -448,10 +418,9 @@ def lw_deficiency(
 
     ``limit_ball_sampler`` receives a derived seed per draw and returns a rooted
     graph whose radius-r root ball is the quantity being compared.  Both
-    sides code tree balls in bulk: ``neighborhood_histogram`` over g, and
-    ``histogram_of_samples`` over the draws, which are tree samples whenever
-    they have one edge fewer than vertices; cyclic balls and cyclic samples
-    are coded one at a time.
+    sides go through ``_root_codes``: ``neighborhood_histogram`` over every
+    vertex of g, and ``histogram_of_samples`` over the roots of the draws'
+    disjoint union.  Tree balls are coded in bulk, cyclic ones one at a time.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -500,4 +469,6 @@ def bounded_lipschitz_gap(xs, ys) -> float:
     """
     xa = np.asarray(xs, dtype=np.float64).ravel()
     ya = np.asarray(ys, dtype=np.float64).ravel()
+    if not xa.size or not ya.size:
+        raise ValueError("bounded_lipschitz_gap needs two nonempty samples")
     return max(abs(float(np.mean(f(xa))) - float(np.mean(f(ya)))) for f in _LIPSCHITZ_BATTERY)

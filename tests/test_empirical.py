@@ -338,6 +338,11 @@ class TestGiantFraction:
         )
         assert abs(mean - 1 / 30) < 1e-12
 
+    def test_sampler_of_the_wrong_size_raises(self):
+        # a sampler returning 2n vertices used to read a fraction near 2
+        with pytest.raises(ValueError, match="60 vertices for n=30"):
+            giant_fraction(lambda n, s: gen_erdos_renyi(2 * n, 1.0, s), n=30, replicas=3, seed=1)
+
 
 class TestComponentFunctional:
     def test_constant_functional(self):
@@ -372,6 +377,14 @@ class TestShiftAverage:
         ts = self.make_ts(np.zeros(rg.graph.vertex_count, dtype=np.int64))
         with pytest.raises(ValueError, match="window_radius"):
             shift_average(ts, lambda block: float(np.mean(block)), -1, [1])
+
+    @pytest.mark.parametrize("window, boxes", [(1, [-1]), (1, [1.5]), (1.0, [1]), (1, [True]), ("1", [1])])
+    def test_sizes_must_be_whole_numbers(self, window, boxes):
+        # a negative box used to raise ZeroDivisionError, a float one numpy's TypeError
+        rg = gen_lattice_box(2, 6)
+        ts = self.make_ts(np.zeros(rg.graph.vertex_count, dtype=np.int64))
+        with pytest.raises(ValueError, match="whole number"):
+            shift_average(ts, lambda block: 0.0, window, boxes)
 
     def test_box_plus_window_must_fit(self):
         rg = gen_lattice_box(2, 6)

@@ -319,6 +319,12 @@ class TestBall:
         rg = gen_regular_tree(3, 5)
         assert ball(rg, 2).vertex_count == 10
 
+    @pytest.mark.parametrize("k", [1.5, True, -1, "2", None])
+    def test_radius_must_be_a_whole_number(self, k):
+        # 1.5 used to run as radius 2 (13 vertices), True as radius 1
+        with pytest.raises(ValueError, match="radius"):
+            ball(gen_lattice_box(2, 3), k)
+
 
 class TestInvariantsAndSerialization:
     def test_generator_outputs_validate(self):
@@ -453,14 +459,14 @@ def _reference_distances(g, region):
 
 
 class TestCsrStorage:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(generated_graphs())
     def test_generators_satisfy_the_invariants(self, g):
         g.validate()
         assert g.indptr.dtype == g.indices.dtype == np.int64
         assert g.edge_count == len(_reference_edges(g))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(generated_graphs())
     def test_views_round_trip(self, g):
         h = Graph(g.adjacency)
@@ -470,7 +476,7 @@ class TestCsrStorage:
         assert Graph.from_edges(g.vertex_count, g.edges()) == g
         assert list(g.degrees) == [len(a) for a in g.adjacency]
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(generated_graphs(), st.data())
     def test_traversals_match_loop_references(self, g, data):
         assert graphs.component_labels(g).tolist() == _reference_labels(g)
@@ -482,6 +488,27 @@ class TestCsrStorage:
         assert sorted(order) == [u for u in range(g.vertex_count) if ref[u] <= 2]
         assert all(ref[a] <= ref[b] for a, b in zip(order, order[1:]))
         assert pos == {u: i for i, u in enumerate(order)}
+
+    @settings(max_examples=100)
+    @given(st.lists(generated_graphs(), max_size=4))
+    def test_disjoint_union_shifts_each_edge_list(self, parts):
+        union, first = graphs._disjoint_union(parts)
+        sizes = [g.vertex_count for g in parts]
+        assert first.tolist() == [sum(sizes[:i]) for i in range(len(parts))]
+        edges = [(u + f, v + f) for g, f in zip(parts, first.tolist()) for u, v in g.edges().tolist()]
+        assert union == Graph.from_edges(sum(sizes), edges)
+        union.validate()
+
+    @pytest.mark.parametrize("sizes", [[], [1], [3, 1, 2], [0, 2]])
+    def test_disjoint_union_of_edgeless_parts(self, sizes):
+        union, first = graphs._disjoint_union([Graph.from_edges(n, []) for n in sizes])
+        assert union == Graph.from_edges(sum(sizes), [])
+        assert first.dtype == np.int64 and first.tolist() == [sum(sizes[:i]) for i in range(len(sizes))]
+
+    def test_induced_renumbers_in_the_given_order(self):
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        assert graphs._induced(g, [3, 0, 4]) == Graph.from_edges(3, [(0, 2), (1, 2)])
+        assert graphs._induced(g, []) == Graph.from_edges(0, [])
 
     def test_equality_ignores_erased_fallback(self):
         a = Graph(((1,), (0,)))

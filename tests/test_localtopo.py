@@ -272,7 +272,7 @@ def small_graphs(draw):
 
 
 class TestBallCodeProperty:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(small_graphs(), st.integers(0, 4), st.randoms(use_true_random=False))
     def test_ball_code_is_the_code_of_the_cut_ball(self, g, r, rnd):
         # cyclic balls included; relabeling the graph leaves every code unchanged
@@ -283,7 +283,7 @@ class TestBallCodeProperty:
             assert code == canonical_code(ball(component_of(g, v), r))
             assert code == localtopo._ball_code_from(moved, int(perm[v]), r)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
     def test_r3_balls_of_poisson_graphs(self, seed, rnd):
         g = poisson_cm(120, seed)
@@ -323,7 +323,7 @@ class TestBulkHistogram:
     """neighborhood_histogram codes tree balls in bulk; it must count exactly
     the codes that coding every ball on its own gives."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(histogram_cases())
     def test_counts_equal_the_per_vertex_tally(self, case):
         g, r = case
@@ -343,8 +343,36 @@ class TestBulkHistogram:
     def test_tree_test_across_vertex_blocks(self, r):
         g = poisson_cm(3 * localtopo._TREE_TEST_BLOCK + 17, 5)
         want = [len(localtopo._ball(g, v, r)[3]) == 1 for v in range(g.vertex_count)]
-        assert localtopo._tree_balls(g, r).tolist() == want
+        assert localtopo._tree_balls(g, r, np.arange(g.vertex_count)).tolist() == want
         assert r < 2 or not all(want)
+
+
+@st.composite
+def forests(draw):
+    """A forest on up to 15 vertices: each vertex hangs from an earlier one or starts a tree."""
+    n = draw(st.integers(1, 15))
+    parents = [draw(st.integers(-1, i - 1)) for i in range(1, n)]
+    return Graph.from_edges(n, [(p, i) for i, p in enumerate(parents, 1) if p >= 0])
+
+
+class TestRootCodes:
+    """_root_codes cuts the graph to the roots' balls and codes them in bulk;
+    it must return the code of each root's ball on its own, in root order."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(small_graphs(), forests()), st.integers(0, 4), st.data())
+    def test_equals_the_per_root_codes(self, g, r, data):
+        order = data.draw(st.permutations(range(g.vertex_count)))
+        roots = order[: data.draw(st.integers(0, g.vertex_count))]
+        want = [localtopo._ball_code_from(g, v, r) for v in roots]
+        assert localtopo._root_codes(g, roots, r) == want
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_roots_far_apart_in_a_poisson_graph(self, r):
+        g = poisson_cm(400, 11)
+        roots = np.random.default_rng(r).permutation(g.vertex_count)[:37]
+        want = [localtopo._ball_code_from(g, int(v), r) for v in roots]
+        assert localtopo._root_codes(g, roots, r) == want
 
 
 @st.composite
@@ -374,7 +402,7 @@ class TestSampleHistogram:
     """histogram_of_samples codes tree samples in bulk; it must count exactly
     the codes that coding every sample's ball on its own gives."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(rooted_samples(), max_size=12), st.integers(0, 4), st.booleans())
     def test_counts_equal_the_per_sample_tally(self, samples, r, lazy):
         codes = [localtopo._ball_code_from(rg.graph, rg.root, r) for rg in samples]
@@ -428,10 +456,13 @@ class TestPeeledCoder:
 
 
 class TestRadiusCheck:
-    @pytest.mark.parametrize("r", [-1, 1.5, "2", None])
+    @pytest.mark.parametrize("r", [-1, 1.5, "2", None, True])  # True used to run as radius 1
     def test_bad_radius_raises(self, r):
         g = path_graph(4)
         rooted = RootedGraph(g, 0)
+        if r is not None:  # None asks _ball for a whole component
+            with pytest.raises(ValueError, match="radius"):
+                localtopo._ball_code_from(g, 0, r)
         with pytest.raises(ValueError, match="radius"):
             neighborhood_histogram(g, r)
         with pytest.raises(ValueError, match="radius"):
@@ -653,6 +684,12 @@ class TestLwDeficiency:
         sampler = lambda s: gen_erdos_renyi(300, 2.0 / 300, seed=s)
         gap = localtopo.two_root_independence_gap(sampler, r=1, n_pairs=300, seed=4)
         assert gap < 0.08
+
+    @pytest.mark.parametrize("xs, ys", [([], [0.5]), ([0.5], []), ([], [])])
+    def test_bounded_lipschitz_gap_of_an_empty_sample_raises(self, xs, ys):
+        # used to warn "Mean of empty slice" and return nan
+        with pytest.raises(ValueError, match="nonempty"):
+            localtopo.bounded_lipschitz_gap(xs, ys)
 
     def test_bounded_lipschitz_gap(self):
         gen = np.random.default_rng(0)

@@ -9,7 +9,7 @@ U64 = st.integers(0, 2**63 - 1)
 
 
 @pytest.mark.parametrize("draw", [rng.uniform, rng.gauss], ids=["uniform", "gauss"])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(key=st.integers(0, 2**64 - 1), step=st.integers(0, 2**32), slot=st.integers(0, 3),
        vertices=st.lists(U64, min_size=1, max_size=12), streams=st.lists(U64, min_size=1, max_size=5),
        data=st.data())
@@ -60,7 +60,7 @@ WIDE = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(seed=WIDE, parts=st.lists(WIDE, max_size=4))
 def test_stream_key_matches_the_numpy_reduction(seed, parts):
     # seeds and parts count modulo 2**64: negative, >= 2**64 and numpy integers alike

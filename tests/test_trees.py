@@ -181,7 +181,7 @@ class TestSamplers:
         cut.graph.validate()
         assert cut.truncated.any() and not cut.truncated.all()
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(st.sampled_from([(2.0, 2.0), (3.0, 3.0), (0.8, 1.5)]), st.integers(0, 5), st.integers(1, 12),
            st.integers(1, 120), st.integers(0, 2**32 - 1))
     def test_budget_matches_the_per_tree_reference(self, thetas, depth, count, budget, seed):
@@ -287,7 +287,7 @@ class TestDuality:
         assert report.dual_theta == 0.0
         assert report.survival == pytest.approx(1.0 - spec[0], abs=1e-15)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(st.integers(0, 100), min_size=3, max_size=9))
     def test_fixed_point_property(self, weights):
         w = np.array(weights, dtype=np.float64)
