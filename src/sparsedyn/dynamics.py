@@ -11,10 +11,13 @@ so their output is invariant under any reordering of the neighbor bundle, in
 floating point and not just in law.
 
 :func:`simulate` runs any model; it and every estimator here dispatch on the
-model family in one place.  Each family sets up a run once (``_start``: the
-step count, X(0) from the marks, the noise key, the time grid and the states
-loop), and one runner serves single runs and one serves replica blocks for
-both families, so a replica block is the stack of its single runs, bit for bit.
+model family in one place.  Each family's ``_start`` sets up a run: X(0) from
+the marks, the time grid, the noise draw of a step (uniforms or Gaussians)
+and the update (the batch rule, or the scalar rule run per vertex by the one
+fallback ``_scalar_rule``).  One step loop, ``_states``, drives both
+families, and one runner serves single runs and one serves replica blocks, so
+a replica block is the stack of its single runs, bit for bit.  The engines
+take a :class:`~sparsedyn.graphs.Graph` and raise ``TypeError`` on anything else.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from . import rng
-from .graphs import Graph, MarkedGraph, RootedGraph
+from .graphs import Graph
 
 _DISC_TAG = 0x44534352
 _DIFF_TAG = 0x44494646
@@ -94,9 +97,10 @@ class DiscreteModel:
     invariant under permutations of ``neighbor_states``.
     ``batch_step(k, cur, aux, u)`` is an optional vectorised rule giving the
     same results: ``cur`` and ``u`` have shape ``(..., n)``, leading axes being
-    independent runs such as replicas.  The engines use it when present and
-    fall back to the scalar rule.  Integer marks are symbols of the alphabet
-    and the states stay int64; float marks run as float64 states.
+    independent runs such as replicas.  The engines run ``batch_step`` when it
+    is set and the scalar rule per vertex otherwise.  Integer marks are
+    symbols of the alphabet and the states stay int64; float marks run as
+    float64 states.
     """
 
     name: str
@@ -105,10 +109,8 @@ class DiscreteModel:
     batch_step: Callable | None = field(default=None, compare=False)
 
     def _start(self, marks, n: int, k_max, dt, seed: int):
-        """``(x0, times, states)`` of a run of ``k_max`` steps from ``marks``
-        (``dt`` is unused): X(0) of shape (n,), the step grid 0..k_max, and
-        ``states(aux, x0, vertex, stream)`` yielding X(1), ..., X(k_max) from
-        any X(0) of shape (..., n)."""
+        """X(0) of shape (n,), the step grid 0..k_max (``dt`` is unused), and
+        the uniform draws and update rule of :func:`_states`."""
         k_max = _whole_steps(k_max)
         x0 = np.asarray(marks)
         if x0.shape != (n,):
@@ -116,34 +118,49 @@ class DiscreteModel:
         if x0.dtype.kind in "iub" and n and (x0.min() < 0 or x0.max() >= self.alphabet_size):
             raise ValueError(f"integer marks must lie in [0, {self.alphabet_size}) for {self.name}")
         x0 = x0.astype(np.int64 if x0.dtype.kind in "iub" else np.float64)
-        times = np.arange(k_max + 1, dtype=np.int64)
-        return x0, times, partial(_discrete_states, self, k_max, rng.stream_key(seed, _DISC_TAG))
+        key = rng.stream_key(seed, _DISC_TAG)
+
+        def draw(vertex, k, stream):
+            return rng.uniform(key, vertex, k, stream=stream)
+
+        def update(k, cur, aux, u):
+            if self.batch_step is not None:
+                return np.asarray(self.batch_step(k, cur, aux, u), dtype=x0.dtype)
+            return _scalar_rule(lambda own, nb, ui: self.step(k, own, nb, float(ui)), cur, aux, u, 0)
+
+        return x0, np.arange(k_max + 1, dtype=np.int64), draw, update
 
 
 @dataclass(frozen=True)
 class DiffusionModel:
     """Drift/diffusion pair for Euler-Maruyama integration.
 
-    ``drift(t, own, neighbors)`` and ``sigma(t, own, neighbors)``, the scalar
-    rule, read one vertex's current state and its neighbors' states.
+    ``drift(t, own, neighbors)``, the scalar rule, reads one vertex's current
+    state and its neighbors' states.  ``sigma`` is a number, for noise that
+    does not depend on the state, or a scalar rule ``sigma(t, own,
+    neighbors)`` giving a number or a (dim, dim) matrix.
     ``batch_drift(t, states, aux)`` is an optional vectorised drift over
     current states of shape ``(..., n, d)``, leading axes being independent
-    runs such as replicas.  The engines use it with the state-independent
-    scalar ``sigma_scale`` when both are set, else the scalar rule.
+    runs such as replicas; it needs a number ``sigma``.  The engines run
+    ``batch_drift`` when it is set and the scalar rules per vertex otherwise.
     """
 
     name: str
     dim: int
     drift: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    sigma: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    sigma: float | Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     batch_drift: Callable | None = field(default=None, compare=False)
-    sigma_scale: float | None = None
+
+    def __post_init__(self):
+        if not callable(self.sigma) and np.ndim(self.sigma) != 0:
+            raise ValueError("sigma must be a number or a scalar rule")
+        if self.batch_drift is not None and callable(self.sigma):
+            raise ValueError("batch_drift needs a number sigma, not a sigma rule")
 
     def _start(self, marks, n: int, horizon: float, dt: float, seed: int):
-        """``(x0, times, states)`` of a run to ``horizon`` in steps of ``dt``
-        from ``marks``: X(0) of shape (n, dim), the time grid, and
-        ``states(aux, x0, vertex, stream)`` yielding the Euler-Maruyama states
-        from any X(0) of shape (..., n, dim)."""
+        """X(0) of shape (n, dim), the time grid to ``horizon`` in steps of
+        ``dt``, and the Gaussian draws and Euler-Maruyama update of :func:`_states`
+        (which raises :class:`NumericalAbort` on a non-finite state)."""
         steps = _step_count(horizon, dt)
         x0 = np.asarray(marks, dtype=np.float64)
         if x0.ndim == 1:
@@ -152,22 +169,34 @@ class DiffusionModel:
             x0 = x0[:, None]
         if x0.shape != (n, self.dim):
             raise ValueError("marks must have shape (n,) or (n, dim)")
-        times = np.arange(steps + 1, dtype=np.float64) * dt
-        return x0, times, partial(_diffusion_states, self, steps, dt, rng.stream_key(seed, _DIFF_TAG))
+        key, sqdt, slots = rng.stream_key(seed, _DIFF_TAG), math.sqrt(dt), np.arange(self.dim)
 
+        def draw(vertex, k, stream):
+            # one draw per (vertex, component): slot j drives component j
+            return rng.gauss(key, vertex[..., None], k, stream=stream[..., None], slot=slots)
 
-def _resolve_graph(g, marks) -> tuple[Graph, np.ndarray | None]:
-    """The plain graph of ``g``, and ``marks`` or else the marks ``g`` carries."""
-    if isinstance(g, MarkedGraph):
-        return g.graph, np.asarray(g.marks) if marks is None else marks
-    if marks is None:
-        raise ValueError("marks are required unless g is a MarkedGraph")
-    return (g.graph if isinstance(g, RootedGraph) else g), marks
+        def euler(t, own, neighbors, z):
+            b = np.asarray(self.drift(t, own, neighbors), dtype=np.float64)
+            s = np.asarray(self.sigma(t, own, neighbors) if callable(self.sigma) else self.sigma, np.float64)
+            return own + b * dt + sqdt * (float(s) * z if s.ndim == 0 else s @ z)
+
+        def update(k, cur, aux, z):
+            if self.batch_drift is not None:
+                nxt = cur + self.batch_drift(k * dt, cur, aux) * dt + self.sigma * sqdt * z
+            else:
+                nxt = _scalar_rule(partial(euler, k * dt), cur, aux, z, 1)
+            if not np.all(np.isfinite(nxt)):
+                raise NumericalAbort(k + 1)
+            return nxt
+
+        return x0, np.arange(steps + 1, dtype=np.float64) * dt, draw, update
 
 
 def _step_count(horizon: float, dt: float) -> int:
     """Number of Euler steps; ``horizon`` must be a whole multiple of ``dt``
     (to a relative tolerance of 1e-9), so a run never ends short of it."""
+    if any(isinstance(x, bool) or not math.isfinite(x) for x in (horizon, dt)):
+        raise ValueError(f"horizon and dt must be finite numbers, got {horizon!r} and {dt!r}")
     if dt <= 0 or horizon < dt:
         raise ValueError("need dt > 0 and horizon >= dt")
     ratio = horizon / dt
@@ -179,7 +208,7 @@ def _step_count(horizon: float, dt: float) -> int:
 
 def _whole_steps(k_max) -> int:
     """A discrete horizon counts steps: a whole number >= 0, never truncated."""
-    if not float(k_max).is_integer() or k_max < 0:
+    if isinstance(k_max, bool) or not float(k_max).is_integer() or k_max < 0:
         raise ValueError(f"a discrete horizon must be a whole number of steps >= 0, got {k_max!r}")
     return int(k_max)
 
@@ -201,69 +230,46 @@ def _per_vertex(value, n: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _discrete_states(model: DiscreteModel, k_max: int, key: int, aux: GraphAux, x0: np.ndarray,
-                     vertex, stream):
-    """Yield X(1), ..., X(k_max) from X(0) = ``x0`` of shape (..., n); the
-    draws of step k, ``rng.uniform(key, vertex, k, stream=stream)``, broadcast
-    to that shape.  ``batch_step`` advances all leading axes in one call;
-    the scalar fallback runs per vertex."""
+def _scalar_rule(rule, cur: np.ndarray, aux: GraphAux, noise: np.ndarray, state_ndim: int) -> np.ndarray:
+    """The one scalar fallback: next states from ``rule(own, neighbor_states,
+    noise)`` run per vertex, for each index of the leading run axes of ``cur``
+    (shape (..., n) plus ``state_ndim`` state axes; ``noise`` matches it)."""
+    nxt = np.empty_like(cur)
+    for idx in np.ndindex(cur.shape[: cur.ndim - 1 - state_ndim]):
+        here, out, draws = cur[idx], nxt[idx], noise[idx]
+        for v in range(len(aux.degrees)):
+            out[v] = rule(here[v], here[aux.indices[aux.indptr[v] : aux.indptr[v + 1]]], draws[v])
+    return nxt
+
+
+def _states(aux: GraphAux, steps: int, draw, update, x0: np.ndarray, vertex, stream):
+    """The one step loop: yield X(1), ..., X(steps) from X(0) = ``x0`` of shape
+    (..., n) or (..., n, dim), with X(k) = update(k-1, X(k-1), aux,
+    draw(vertex, k, stream)); ``vertex`` and ``stream`` broadcast to (..., n)."""
     cur = x0
-    for k in range(k_max):
-        u = rng.uniform(key, vertex, k + 1, stream=stream)
-        if model.batch_step is not None:
-            nxt = np.asarray(model.batch_step(k, cur, aux, u), dtype=x0.dtype)
-        else:
-            nxt = np.empty_like(cur)
-            for idx in np.ndindex(x0.shape[:-1]):
-                here, out, draws = cur[idx], nxt[idx], u[idx]
-                for v in range(len(aux.degrees)):
-                    nb_states = here[aux.indices[aux.indptr[v] : aux.indptr[v + 1]]]
-                    out[v] = model.step(k, here[v], nb_states, float(draws[v]))
-        cur = nxt
+    for k in range(steps):
+        cur = update(k, cur, aux, draw(vertex, k + 1, stream))
         yield cur
 
 
-def _diffusion_states(model: DiffusionModel, steps: int, dt: float, key: int, aux: GraphAux,
-                      x0: np.ndarray, vertex, stream):
-    """Yield the Euler-Maruyama states X(dt), ..., X(steps dt) from X(0) =
-    ``x0`` of shape (..., n, d); ``vertex`` and ``stream`` broadcast to
-    (..., n).  Raises :class:`NumericalAbort` on a non-finite state."""
-    sqdt = math.sqrt(dt)
-    batch = model.batch_drift is not None and model.sigma_scale is not None
-    # one draw per (vertex, component): slot j drives component j
-    vertex, stream, slots = vertex[..., None], stream[..., None], np.arange(model.dim)
-    cur = x0
-    for step in range(steps):
-        t = step * dt
-        z = rng.gauss(key, vertex, step + 1, stream=stream, slot=slots)
-        if batch:
-            nxt = cur + model.batch_drift(t, cur, aux) * dt + model.sigma_scale * sqdt * z
-        else:
-            nxt = np.empty_like(cur)
-            for idx in np.ndindex(x0.shape[:-2]):
-                here, out, noise = cur[idx], nxt[idx], z[idx]
-                for v in range(len(aux.degrees)):
-                    nb_states = here[aux.indices[aux.indptr[v] : aux.indptr[v + 1]]]
-                    b = np.asarray(model.drift(t, here[v], nb_states), dtype=np.float64)
-                    s = np.asarray(model.sigma(t, here[v], nb_states), dtype=np.float64)
-                    noise_term = float(s) * noise[v] if s.ndim == 0 else s @ noise[v]
-                    out[v] = here[v] + b * dt + sqdt * noise_term
-        if not np.all(np.isfinite(nxt)):
-            raise NumericalAbort(step + 1)
-        cur = nxt
-        yield cur
+def _begin(model, graph: Graph, marks, horizon, dt, seed: int):
+    """``(x0, times, states)`` of a run of ``model`` on ``graph``, with
+    ``states(x0, vertex, stream)`` its :func:`_states` loop; checks the graph."""
+    if not isinstance(graph, Graph):
+        raise TypeError(f"the dynamics engines take a Graph, got {type(graph).__name__}")
+    x0, times, draw, update = model._start(marks, graph.vertex_count, horizon, dt, seed)
+    return x0, times, partial(_states, GraphAux.of(graph), len(times) - 1, draw, update)
 
 
-def _single(model, g, marks, horizon, dt, seed: int, streams, noise_index) -> TrajectorySet:
+def _single(model, graph: Graph, marks, horizon, dt, seed: int, streams, noise_index) -> TrajectorySet:
     """The one runner of single runs: vertex v draws from stream ``streams``
     at noise index ``noise_index`` (both scalars or per-vertex arrays)."""
-    graph, marks = _resolve_graph(g, marks)
+    x0, times, states = _begin(model, graph, marks, horizon, dt, seed)
     n = graph.vertex_count
-    x0, times, states = model._start(marks, n, horizon, dt, seed)
     vertex = np.arange(n, dtype=np.int64) if noise_index is None else _per_vertex(noise_index, n)
     paths = np.empty((len(times), *x0.shape), dtype=x0.dtype)
     paths[0] = x0
-    for k, x in enumerate(states(GraphAux.of(graph), x0, vertex, _per_vertex(streams, n)), 1):
+    for k, x in enumerate(states(x0, vertex, _per_vertex(streams, n)), 1):
         paths[k] = x
     return TrajectorySet(graph, times, paths)
 
@@ -274,47 +280,31 @@ def _replicas(model, graph: Graph, marks, horizon, dt, seed: int, replicas: int,
     the recorded vertices (the one component of a dim-1 diffusion), all
     replicas advancing together along a leading axis; replica r is the single
     run on noise stream 2(r + offset)."""
+    x0, _, states = _begin(model, graph, marks, horizon, dt, seed)
     n = graph.vertex_count
-    x0, _, states = model._start(marks, n, horizon, dt, seed)
     record = _vertex_indices(record, n)
     x0 = np.tile(x0, (replicas,) + (1,) * x0.ndim)
     streams = 2 * (offset + np.arange(replicas, dtype=np.int64))[:, None]
-    run = states(GraphAux.of(graph), x0, np.arange(n, dtype=np.int64)[None, :], streams)
+    run = states(x0, np.arange(n, dtype=np.int64)[None, :], streams)
     paths = np.stack([x0[:, record], *(x[:, record] for x in run)], axis=1)
     return paths.reshape(*paths.shape[:2], *record.shape)
 
 
-def simulate_discrete(
-    g,
-    marks,
-    model: DiscreteModel,
-    k_max: int,
-    seed: int,
-    *,
-    streams=0,
-    noise_index=None,
-) -> TrajectorySet:
-    """Run X_v(k+1) = F(k, X_v(k), X_neighbors(k), xi_v(k+1)) for k < k_max."""
-    return _single(model, g, marks, k_max, None, seed, streams, noise_index)
+def simulate_discrete(graph: Graph, marks, model: DiscreteModel, k_max: int, seed: int, *, streams=0,
+                      noise_index=None) -> TrajectorySet:
+    """Run X_v(k+1) = F(k, X_v(k), X_neighbors(k), xi_v(k+1)) for k < k_max
+    on the :class:`Graph` ``graph``."""
+    return _single(model, graph, marks, k_max, None, seed, streams, noise_index)
 
 
-def simulate_diffusion(
-    g,
-    marks,
-    model: DiffusionModel,
-    horizon: float,
-    dt: float,
-    seed: int,
-    *,
-    streams=0,
-    noise_index=None,
-) -> TrajectorySet:
-    """Euler-Maruyama on the graph: X += b dt + sigma sqrt(dt) Z per step.
+def simulate_diffusion(graph: Graph, marks, model: DiffusionModel, horizon: float, dt: float, seed: int, *,
+                       streams=0, noise_index=None) -> TrajectorySet:
+    """Euler-Maruyama on the :class:`Graph` ``graph``: X += b dt + sigma sqrt(dt) Z per step.
 
     Neighbor interaction is evaluated at the current grid time.  Aborts with
     :class:`NumericalAbort` if any state turns non-finite.
     """
-    return _single(model, g, marks, horizon, dt, seed, streams, noise_index)
+    return _single(model, graph, marks, horizon, dt, seed, streams, noise_index)
 
 
 def _dispatch(model, horizon, dt):
@@ -331,15 +321,15 @@ def _dispatch(model, horizon, dt):
             partial(replica_paths_diffusion, model=model, horizon=horizon, dt=dt))
 
 
-def simulate(g, marks, model, horizon, seed: int, *, dt: float | None = None, streams=0,
+def simulate(graph: Graph, marks, model, horizon, seed: int, *, dt: float | None = None, streams=0,
              noise_index=None) -> TrajectorySet:
-    """One run of a discrete or diffusion model on ``g`` from ``marks``.
+    """One run of a discrete or diffusion model on the :class:`Graph` ``graph`` from ``marks``.
 
     ``horizon`` counts steps for a :class:`DiscreteModel` (a whole number)
     and is a time for a :class:`DiffusionModel`, run in Euler steps of ``dt``.
     """
     _, run, _ = _dispatch(model, horizon, dt)
-    return run(g, marks, seed=seed, streams=streams, noise_index=noise_index)
+    return run(graph, marks, seed=seed, streams=streams, noise_index=noise_index)
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +416,13 @@ def consensus_sde_model(sigma0: float = 1.0, dim: int = 1) -> DiffusionModel:
         ) / len(neighbors)
         return mean - own
 
-    def sigma(t, own, neighbors):
-        return np.float64(sigma0)
-
     def batch(t, states, aux: GraphAux):
         # sum each of the d components over the neighbors, along the vertex axis
         sums = np.swapaxes(aux.neighbor_sums(np.swapaxes(states, -1, -2)), -1, -2)
         mean = sums / np.maximum(aux.degrees, 1)[:, None]
         return np.where(aux.degrees[:, None] > 0, mean - states, 0.0)
 
-    return DiffusionModel(
-        f"consensus_sde({sigma0})", dim, drift, sigma, batch_drift=batch, sigma_scale=float(sigma0),
-    )
+    return DiffusionModel(f"consensus_sde({sigma0})", dim, drift, float(sigma0), batch_drift=batch)
 
 
 def kuramoto_model(coupling: float = 1.0, sigma0: float = 0.0) -> DiffusionModel:
@@ -449,9 +434,6 @@ def kuramoto_model(coupling: float = 1.0, sigma0: float = 0.0) -> DiffusionModel
         terms = np.sin(neighbors[:, 0] - own[0])
         return np.array([coupling * _sorted_sum(terms) / len(neighbors)])
 
-    def sigma(t, own, neighbors):
-        return np.float64(sigma0)
-
     def batch(t, states, aux: GraphAux):
         x = states[..., 0]
         sin_sum = aux.neighbor_sums(np.sin(x))
@@ -460,9 +442,7 @@ def kuramoto_model(coupling: float = 1.0, sigma0: float = 0.0) -> DiffusionModel
         val = coupling * (np.cos(x) * sin_sum - np.sin(x) * cos_sum) / deg
         return np.where(aux.degrees > 0, val, 0.0)[..., None]
 
-    return DiffusionModel(
-        f"kuramoto({coupling},{sigma0})", 1, drift, sigma, batch_drift=batch, sigma_scale=float(sigma0),
-    )
+    return DiffusionModel(f"kuramoto({coupling},{sigma0})", 1, drift, float(sigma0), batch_drift=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +465,7 @@ def distances_to(g: Graph, region) -> np.ndarray:
 
 
 def coupled_triple(
-    g,
+    graph: Graph,
     marks,
     region_a,
     region_b,
@@ -495,18 +475,19 @@ def coupled_triple(
     *,
     dt: float | None = None,
 ) -> tuple[TrajectorySet, TrajectorySet, TrajectorySet]:
-    """Three same-law runs coupled through a noise partition.
+    """Three same-law runs on the :class:`Graph` ``graph``, coupled through a
+    noise partition.
 
     X uses the base stream everywhere.  Where d(v, A1) >= d(v, A2), Y switches
     to a fresh stream and Z keeps the base one; elsewhere the roles swap.  Y
     and Z are therefore driven by disjoint noise collections and are
     independent, while each agrees with X on the complementary half.
     """
-    graph, marks = _resolve_graph(g, marks)
     _, run, _ = _dispatch(model, horizon, dt)
+    x = run(graph, marks, seed=seed)  # runs first, so the graph is checked before distances_to
     swap = distances_to(graph, region_a) >= distances_to(graph, region_b)
-    streams = (np.zeros(graph.vertex_count, dtype=np.int64), np.where(swap, 1, 0), np.where(swap, 0, 1))
-    return tuple(run(graph, marks, seed=seed, streams=s) for s in streams)
+    y, z = (run(graph, marks, seed=seed, streams=np.where(swap, s, 1 - s)) for s in (1, 0))
+    return x, y, z
 
 
 @dataclass(frozen=True)
@@ -534,7 +515,8 @@ def replica_paths_discrete(
     *,
     replica_offset: int = 0,
 ) -> np.ndarray:
-    """(replicas, k_max+1, |record|) paths; replica r uses noise streams 2(r+offset).
+    """(replicas, k_max+1, |record|) paths on the :class:`Graph` ``graph``;
+    replica r uses noise streams 2(r+offset).
 
     All replicas advance together along a leading replica axis.  Replica r
     reproduces ``simulate_discrete(..., streams=2*(r+offset))``.
@@ -554,7 +536,8 @@ def replica_paths_diffusion(
     *,
     replica_offset: int = 0,
 ) -> np.ndarray:
-    """(replicas, steps+1, |record|) scalar paths of a dim-1 model.
+    """(replicas, steps+1, |record|) scalar paths of a dim-1 model on the
+    :class:`Graph` ``graph``.
 
     All replicas advance together along a leading replica axis.  Replica r
     reproduces ``simulate_diffusion(..., streams=2*(r+offset))``.
@@ -565,7 +548,7 @@ def replica_paths_diffusion(
 
 
 def covariance_decay_profile(
-    g,
+    graph: Graph,
     marks,
     model,
     pairs,
@@ -577,7 +560,8 @@ def covariance_decay_profile(
     dt: float | None = None,
     ci_z: float = 1.96,
 ) -> DecayProfile:
-    """Monte Carlo covariance of f over two vertex groups, per listed pair.
+    """Monte Carlo covariance of f over two vertex groups of the :class:`Graph`
+    ``graph``, per listed pair.
 
     ``pairs`` is a list of (region_a, region_b, distance) with strictly
     increasing distances.  ``f`` maps a (T+1, |region|) path block to a
@@ -585,33 +569,22 @@ def covariance_decay_profile(
     """
     if replicas < 100:
         raise ValueError("replicas must be >= 100")
-    graph, marks = _resolve_graph(g, marks)
     # range-checked by the replica engine, which records these vertices
     needed = sorted({int(v) for a, b, _ in pairs for v in (*a, *b)})
     pos = {v: i for i, v in enumerate(needed)}
     steps, _, replica_paths = _dispatch(model, horizon, dt)
     # chunk replicas so recorded paths stay within ~10^7 scalars
     chunk = max(1, min(replicas, 10_000_000 // max(1, (steps + 1) * len(needed))))
-    fa_parts = {i: [] for i in range(len(pairs))}
-    fb_parts = {i: [] for i in range(len(pairs))}
+    fa, fb = np.empty((len(pairs), replicas)), np.empty((len(pairs), replicas))
     done = 0
     while done < replicas:
         size = min(chunk, replicas - done)
         block = replica_paths(graph, marks, seed=seed, replicas=size, record=needed, replica_offset=done)
         for i, (region_a, region_b, _) in enumerate(pairs):
-            ia = [pos[int(v)] for v in region_a]
-            ib = [pos[int(v)] for v in region_b]
-            fa_parts[i].append(np.array([f(block[r][:, ia]) for r in range(size)]))
-            fb_parts[i].append(np.array([f(block[r][:, ib]) for r in range(size)]))
+            for out, region in ((fa, region_a), (fb, region_b)):
+                cols = [pos[int(v)] for v in region]
+                out[i, done : done + size] = [f(block[r][:, cols]) for r in range(size)]
         done += size
-    distances, estimates, cis = [], [], []
-    for i, (_, _, dist) in enumerate(pairs):
-        fa = np.concatenate(fa_parts[i])
-        fb = np.concatenate(fb_parts[i])
-        prod = (fa - fa.mean()) * (fb - fb.mean())
-        cov = float(prod.mean())
-        se = float(prod.std(ddof=1) / math.sqrt(replicas))
-        distances.append(dist)
-        estimates.append(cov)
-        cis.append(ci_z * se)
-    return DecayProfile(np.array(distances), np.array(estimates), np.array(cis))
+    prod = (fa - fa.mean(axis=1, keepdims=True)) * (fb - fb.mean(axis=1, keepdims=True))
+    se = prod.std(axis=1, ddof=1) / math.sqrt(replicas)
+    return DecayProfile(np.array([dist for _, _, dist in pairs]), prod.mean(axis=1), ci_z * se)

@@ -380,7 +380,11 @@ def gen_configuration_model(degrees, seed: int, *, max_pairing_attempts: int = 1
     it is simple; on exhaustion one more pairing has its self-loops erased and
     multi-edges collapsed, and the result carries ``erased_fallback=True``.
     """
-    deg = np.asarray(degrees, dtype=np.int64)
+    deg = np.asarray(degrees)
+    if deg.dtype.kind not in "iu":  # integer arrays skip the whole-number test
+        if deg.dtype.kind != "f" or not np.all(np.isfinite(deg) & (deg == np.floor(deg))):
+            raise ValueError("degrees must be whole numbers")
+    deg = deg.astype(np.int64, copy=False)
     n = len(deg)
     if n < 1:
         raise ValueError("degree sequence must be nonempty")
@@ -415,6 +419,7 @@ def gen_configuration_model(degrees, seed: int, *, max_pairing_attempts: int = 1
 
 def gen_random_regular(n: int, k: int, seed: int) -> Graph:
     """Uniform k-regular graph via the configuration model."""
+    _check_radius(k, "k")
     if (n * k) % 2 != 0:
         raise ValueError("n*k must be even")
     if k >= n:

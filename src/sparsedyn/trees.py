@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from . import rng
-from .graphs import Graph, RootedGraph, _from_csr, _rooted
+from .graphs import Graph, RootedGraph, _check_radius, _from_csr, _rooted
 
 DEFAULT_VERTEX_BUDGET = 200_000
 
@@ -130,6 +130,7 @@ def poisson_dist(theta: float, tail_tolerance: float = 1e-12) -> DegreeDist:
 
 
 def delta_dist(k: int) -> DegreeDist:
+    _check_radius(k, "k")
     p = np.zeros(k + 1)
     p[k] = 1.0
     return DegreeDist(p)

@@ -24,7 +24,7 @@ from sparsedyn.dynamics import (
     voter_model,
 )
 from sparsedyn import dynamics, rng
-from sparsedyn.graphs import Graph, gen_lattice_box, gen_regular_tree
+from sparsedyn.graphs import Graph, MarkedGraph, RootedGraph, gen_lattice_box, gen_regular_tree
 
 K2 = Graph.from_edges(2, [(0, 1)])
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -139,8 +139,8 @@ class TestDiffusionEngine:
 
     def test_brownian_increment_variance(self):
         model = DiffusionModel(
-            "bm", 1, lambda t, x, nb: np.zeros(1), lambda t, x, nb: np.float64(1.0),
-            batch_drift=lambda t, s, aux: np.zeros_like(s), sigma_scale=1.0,
+            "bm", 1, lambda t, x, nb: np.zeros(1), sigma=1.0,
+            batch_drift=lambda t, s, aux: np.zeros_like(s),
         )
         g = Graph.from_edges(1, [])
         dt = 1e-3
@@ -149,12 +149,12 @@ class TestDiffusionEngine:
         assert abs(float(np.var(inc)) / dt - 1.0) < 0.02
 
     def test_batch_matches_scalar_closely(self):
-        model = consensus_sde_model(sigma0=0.5)
         g = gen_regular_tree(3, 2).graph
         marks = np.linspace(-1, 1, g.vertex_count)
-        a = simulate_diffusion(g, marks, model, 0.5, 0.01, seed=7)
-        b = simulate_diffusion(g, marks, dataclasses.replace(model, batch_drift=None), 0.5, 0.01, seed=7)
-        assert np.allclose(a.paths, b.paths, atol=1e-12)
+        for model in (consensus_sde_model(sigma0=0.5), kuramoto_model(sigma0=0.3)):
+            a = simulate_diffusion(g, marks, model, 0.5, 0.01, seed=7)
+            b = simulate_diffusion(g, marks, dataclasses.replace(model, batch_drift=None), 0.5, 0.01, seed=7)
+            assert np.allclose(a.paths, b.paths, atol=1e-12)
 
     def test_equivariance_scalar_path(self):
         model = dataclasses.replace(kuramoto_model(coupling=1.0, sigma0=0.3), batch_drift=None)
@@ -165,6 +165,14 @@ class TestDiffusionEngine:
         permuted = simulate_diffusion(C6, marks[phi], model, 0.3, 0.01, seed=9, noise_index=phi)
         for v in range(n):
             assert np.array_equal(permuted.paths[:, v, 0], base.paths[:, phi[v], 0])
+
+    def test_batch_drift_needs_a_number_sigma(self):
+        # a sigma rule beside a batch drift used to be ignored on the batch path
+        with pytest.raises(ValueError, match="number sigma"):
+            DiffusionModel("rule", 1, lambda t, x, nb: np.zeros(1), lambda t, x, nb: np.float64(0.0),
+                           batch_drift=lambda t, s, aux: np.zeros_like(s))
+        with pytest.raises(ValueError, match="a number or a scalar rule"):
+            DiffusionModel("matrix", 2, lambda t, x, nb: np.zeros(2), np.eye(2))
 
     def test_numerical_abort(self):
         model = DiffusionModel(
@@ -518,7 +526,7 @@ class TestEngineBoundary:
         for run in (lambda: simulate_discrete(TRIANGLE, None, voter_model(), 2, seed=1),
                     lambda: simulate(TRIANGLE, None, voter_model(), 2, 1),
                     lambda: simulate(TRIANGLE, None, consensus_sde_model(), 0.2, 1, dt=0.1)):
-            with pytest.raises(ValueError, match="marks are required"):
+            with pytest.raises(ValueError, match="marks length|marks must have shape"):
                 run()
 
     @pytest.mark.parametrize("batch", [False, True])
@@ -547,3 +555,38 @@ class TestEngineBoundary:
                     lambda: replica_paths_diffusion(g, fmarks, sde, 0.2, 0.1, 1, 2, [0])):
             with pytest.raises(ValueError, match="marks"):
                 run()
+
+
+class TestEngineInputs:
+    @pytest.mark.parametrize("marked", [False, True], ids=["rooted", "marked"])
+    def test_engines_take_a_graph_only(self, marked):
+        # replica_paths_discrete on a RootedGraph used to die with an AttributeError
+        marks = np.array([0, 1])
+        g = MarkedGraph(RootedGraph(K2, 0), marks) if marked else RootedGraph(K2, 0)
+        voter, sde = voter_model(), consensus_sde_model(sigma0=0.5)
+        for run in (lambda: simulate(g, marks, voter, 2, 1),
+                    lambda: simulate_discrete(g, marks, voter, 2, 1),
+                    lambda: simulate_diffusion(g, marks, sde, 0.2, 0.1, 1),
+                    lambda: replica_paths_discrete(g, marks, voter, 2, 1, 2, [0]),
+                    lambda: replica_paths_diffusion(g, marks, sde, 0.2, 0.1, 1, 2, [0]),
+                    lambda: coupled_triple(g, marks, [0], [1], voter, 2, 1),
+                    lambda: covariance_decay_profile(g, marks, voter, [([0], [1], 1)], _mark_final, 2, 100, 1)):
+            with pytest.raises(TypeError, match="take a Graph"):
+                run()
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), True], ids=["inf", "nan", "bool"])
+    @pytest.mark.parametrize("entry", ["simulate_discrete", "simulate_voter", "simulate_diffusion",
+                                       "simulate_sde", "dt"])
+    def test_horizon_must_be_finite_and_not_bool(self, entry, bad):
+        # an infinite horizon raised OverflowError, a NaN one numpy's cast error,
+        # and k_max=True ran one step
+        marks, voter, sde = np.array([0, 1]), voter_model(), consensus_sde_model(sigma0=0.5)
+        calls = {
+            "simulate_discrete": lambda: simulate_discrete(K2, marks, voter, bad, 1),
+            "simulate_diffusion": lambda: simulate_diffusion(K2, marks, sde, bad, 0.5, 1),
+            "simulate_voter": lambda: simulate(K2, marks, voter, bad, 1),
+            "simulate_sde": lambda: simulate(K2, marks, sde, bad, 1, dt=0.5),
+            "dt": lambda: simulate_diffusion(K2, marks, sde, 1.0, bad, 1),
+        }
+        with pytest.raises(ValueError, match="whole number of steps|must be finite numbers"):
+            calls[entry]()

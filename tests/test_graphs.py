@@ -158,6 +158,17 @@ class TestConfigurationModel:
         with pytest.raises(ValueError, match="max_pairing_attempts"):
             gen_configuration_model([1, 1], seed=1, max_pairing_attempts=-1)
 
+    @pytest.mark.parametrize("deg", [[1.5, 1.5], [2.9, 1.2, 1.0], [math.nan, 1.0], [math.inf, 1.0],
+                                     [True, True], ["1", "1"]])
+    def test_degrees_must_be_whole_numbers(self, deg):
+        # [1.5, 1.5] built the edge 0-1 and [2.9, 1.2, 1.0] ran as (2, 1, 1)
+        with pytest.raises(ValueError, match="whole numbers"):
+            gen_configuration_model(deg, seed=1)
+
+    def test_whole_float_degrees_equal_integer_ones(self):
+        g = gen_configuration_model([3.0, 2.0, 2.0, 1.0, 1.0, 1.0], seed=3)
+        assert g.adjacency == gen_configuration_model(np.array([3, 2, 2, 1, 1, 1]), seed=3).adjacency
+
 
 class TestRandomRegular:
     def test_k1_edge(self):
@@ -178,6 +189,12 @@ class TestRandomRegular:
     def test_odd_product_rejected(self):
         with pytest.raises(ValueError):
             gen_random_regular(5, 3, seed=1)
+
+    @pytest.mark.parametrize("k", [2.5, -1, True])
+    def test_degree_must_be_a_whole_number(self, k):
+        # k = 2.5 used to report "n*k must be even"
+        with pytest.raises(ValueError, match="k must be a whole number"):
+            gen_random_regular(10, k, seed=1)
 
 
 class TestLattice:

@@ -105,6 +105,14 @@ class TestDegreeDist:
             degree_dist(spec)
 
 
+class TestDelta:
+    @pytest.mark.parametrize("k", [-1, 2.5, True])
+    def test_degree_must_be_a_whole_number(self, k):
+        # -1 raised IndexError and 2.5 a numpy TypeError
+        with pytest.raises(ValueError, match="k must be a whole number"):
+            delta_dist(k)
+
+
 class TestSizeBiased:
     def test_delta(self):
         assert list(size_biased(delta_dist(4)).probabilities) == [0.0, 0.0, 0.0, 1.0]
