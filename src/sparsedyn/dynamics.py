@@ -33,6 +33,7 @@ from scipy.sparse import csgraph
 
 from . import rng
 from .graphs import Graph
+from .graphs import _check_indices, _check_whole
 
 _DISC_TAG = 0x44534352
 _DIFF_TAG = 0x44494646
@@ -108,6 +109,9 @@ class DiscreteModel:
     step: Callable[[int, object, np.ndarray, float], object]
     batch_step: Callable | None = field(default=None, compare=False)
 
+    def __post_init__(self):
+        _check_whole(self.alphabet_size, "alphabet_size", 1)
+
     def _start(self, marks, n: int, k_max, dt, seed: int):
         """X(0) of shape (n,), the step grid 0..k_max (``dt`` is unused), and
         the uniform draws and update rule of :func:`_states`."""
@@ -152,6 +156,7 @@ class DiffusionModel:
     batch_drift: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        _check_whole(self.dim, "dim", 1)
         if not callable(self.sigma) and np.ndim(self.sigma) != 0:
             raise ValueError("sigma must be a number or a scalar rule")
         if self.batch_drift is not None and callable(self.sigma):
@@ -207,27 +212,23 @@ def _step_count(horizon: float, dt: float) -> int:
 
 
 def _whole_steps(k_max) -> int:
-    """A discrete horizon counts steps: a whole number >= 0, never truncated."""
+    """A discrete horizon counts steps: a whole number >= 0, never truncated.
+    Unlike ``graphs._check_whole`` it takes integral floats such as 4.0, since
+    ``simulate`` and the estimators pass one ``horizon`` to both model
+    families, and a diffusion horizon is a time."""
     if isinstance(k_max, bool) or not float(k_max).is_integer() or k_max < 0:
         raise ValueError(f"a discrete horizon must be a whole number of steps >= 0, got {k_max!r}")
     return int(k_max)
 
 
-def _vertex_indices(vertices, n: int) -> np.ndarray:
-    """``vertices`` as an int64 array; each must index a vertex of an n-vertex graph."""
-    arr = np.asarray(vertices, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        raise ValueError(f"vertex index out of range [0, {n})")
-    return arr
-
-
-def _per_vertex(value, n: int) -> np.ndarray:
-    arr = np.asarray(value)
+def _per_vertex(value, n: int, name: str) -> np.ndarray:
+    """An integer scalar or (n,) integer array, as an (n,) int64 array."""
+    arr = _check_indices(value, name=name)
     if arr.ndim == 0:
-        return np.full(n, int(arr), dtype=np.int64)
-    if arr.shape[0] != n:
-        raise ValueError("per-vertex array has wrong length")
-    return arr.astype(np.int64)
+        return np.full(n, arr, dtype=np.int64)
+    if arr.shape != (n,):
+        raise ValueError(f"{name} must be a scalar or have shape ({n},)")
+    return arr
 
 
 def _scalar_rule(rule, cur: np.ndarray, aux: GraphAux, noise: np.ndarray, state_ndim: int) -> np.ndarray:
@@ -263,13 +264,13 @@ def _begin(model, graph: Graph, marks, horizon, dt, seed: int):
 
 def _single(model, graph: Graph, marks, horizon, dt, seed: int, streams, noise_index) -> TrajectorySet:
     """The one runner of single runs: vertex v draws from stream ``streams``
-    at noise index ``noise_index`` (both scalars or per-vertex arrays)."""
+    at noise index ``noise_index`` (integer scalars or per-vertex arrays)."""
     x0, times, states = _begin(model, graph, marks, horizon, dt, seed)
     n = graph.vertex_count
-    vertex = np.arange(n, dtype=np.int64) if noise_index is None else _per_vertex(noise_index, n)
+    vertex = np.arange(n, dtype=np.int64) if noise_index is None else _per_vertex(noise_index, n, "noise_index")
     paths = np.empty((len(times), *x0.shape), dtype=x0.dtype)
     paths[0] = x0
-    for k, x in enumerate(states(x0, vertex, _per_vertex(streams, n)), 1):
+    for k, x in enumerate(states(x0, vertex, _per_vertex(streams, n, "streams")), 1):
         paths[k] = x
     return TrajectorySet(graph, times, paths)
 
@@ -282,7 +283,8 @@ def _replicas(model, graph: Graph, marks, horizon, dt, seed: int, replicas: int,
     run on noise stream 2(r + offset)."""
     x0, _, states = _begin(model, graph, marks, horizon, dt, seed)
     n = graph.vertex_count
-    record = _vertex_indices(record, n)
+    replicas, offset = _check_whole(replicas, "replicas", 1), _check_whole(offset, "replica_offset")
+    record = _check_indices(record, n)
     x0 = np.tile(x0, (replicas,) + (1,) * x0.ndim)
     streams = 2 * (offset + np.arange(replicas, dtype=np.int64))[:, None]
     run = states(x0, np.arange(n, dtype=np.int64)[None, :], streams)
@@ -293,7 +295,8 @@ def _replicas(model, graph: Graph, marks, horizon, dt, seed: int, replicas: int,
 def simulate_discrete(graph: Graph, marks, model: DiscreteModel, k_max: int, seed: int, *, streams=0,
                       noise_index=None) -> TrajectorySet:
     """Run X_v(k+1) = F(k, X_v(k), X_neighbors(k), xi_v(k+1)) for k < k_max
-    on the :class:`Graph` ``graph``."""
+    on the :class:`Graph` ``graph``; vertex v draws from stream ``streams[v]``
+    at noise index ``noise_index[v]`` (default v), integers or (n,) integer arrays."""
     return _single(model, graph, marks, k_max, None, seed, streams, noise_index)
 
 
@@ -302,7 +305,8 @@ def simulate_diffusion(graph: Graph, marks, model: DiffusionModel, horizon: floa
     """Euler-Maruyama on the :class:`Graph` ``graph``: X += b dt + sigma sqrt(dt) Z per step.
 
     Neighbor interaction is evaluated at the current grid time.  Aborts with
-    :class:`NumericalAbort` if any state turns non-finite.
+    :class:`NumericalAbort` if any state turns non-finite.  ``streams`` and
+    ``noise_index`` are integers or (n,) integer arrays.
     """
     return _single(model, graph, marks, horizon, dt, seed, streams, noise_index)
 
@@ -454,7 +458,7 @@ def distances_to(g: Graph, region) -> np.ndarray:
 
     Vertices the region cannot reach get ``iinfo(int64).max``.
     """
-    region = _vertex_indices([int(v) for v in region], g.vertex_count)
+    region = _check_indices(list(region), g.vertex_count)
     if not region.size:
         raise ValueError("region must be nonempty")
     found = csgraph.dijkstra(g.matrix, directed=False, indices=region, unweighted=True, min_only=True)
@@ -519,7 +523,8 @@ def replica_paths_discrete(
     replica r uses noise streams 2(r+offset).
 
     All replicas advance together along a leading replica axis.  Replica r
-    reproduces ``simulate_discrete(..., streams=2*(r+offset))``.
+    reproduces ``simulate_discrete(..., streams=2*(r+offset))``.  ``record``
+    is an integer array of vertices.
     """
     return _replicas(model, graph, marks, k_max, None, seed, replicas, record, replica_offset)
 
@@ -540,7 +545,8 @@ def replica_paths_diffusion(
     :class:`Graph` ``graph``.
 
     All replicas advance together along a leading replica axis.  Replica r
-    reproduces ``simulate_diffusion(..., streams=2*(r+offset))``.
+    reproduces ``simulate_diffusion(..., streams=2*(r+offset))``.  ``record``
+    is an integer array of vertices.
     """
     if model.dim != 1:
         raise ValueError("replica paths need a dim-1 model")
@@ -567,11 +573,9 @@ def covariance_decay_profile(
     increasing distances.  ``f`` maps a (T+1, |region|) path block to a
     bounded real.  The normal-approximation CI half-width uses ``ci_z``.
     """
-    if replicas < 100:
-        raise ValueError("replicas must be >= 100")
+    replicas = _check_whole(replicas, "replicas", 100)
     # range-checked by the replica engine, which records these vertices
-    needed = sorted({int(v) for a, b, _ in pairs for v in (*a, *b)})
-    pos = {v: i for i, v in enumerate(needed)}
+    needed = np.unique(_check_indices([v for a, b, _ in pairs for v in (*a, *b)]))
     steps, _, replica_paths = _dispatch(model, horizon, dt)
     # chunk replicas so recorded paths stay within ~10^7 scalars
     chunk = max(1, min(replicas, 10_000_000 // max(1, (steps + 1) * len(needed))))
@@ -582,7 +586,7 @@ def covariance_decay_profile(
         block = replica_paths(graph, marks, seed=seed, replicas=size, record=needed, replica_offset=done)
         for i, (region_a, region_b, _) in enumerate(pairs):
             for out, region in ((fa, region_a), (fb, region_b)):
-                cols = [pos[int(v)] for v in region]
+                cols = np.searchsorted(needed, region)
                 out[i, done : done + size] = [f(block[r][:, cols]) for r in range(size)]
         done += size
     prod = (fa - fa.mean(axis=1, keepdims=True)) * (fb - fb.mean(axis=1, keepdims=True))

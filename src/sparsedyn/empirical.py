@@ -20,7 +20,7 @@ from .dynamics import DiffusionModel, TrajectorySet, simulate
 
 # not called here: kept bound because the benchmark's tracer patches these names
 from .dynamics import simulate_diffusion, simulate_discrete  # noqa: F401
-from .graphs import Graph, RootedGraph, _check_radius, _disjoint_union, component_labels
+from .graphs import Graph, RootedGraph, _check_indices, _check_whole, _disjoint_union, component_labels
 from .trees import DegreeDist, Forest, sample_forest
 
 __all__ = [
@@ -74,10 +74,7 @@ def component_empirical(ts: TrajectorySet, comp: RootedGraph) -> EmpiricalMeasur
     """Restriction of the global empirical measure to an extracted component."""
     if comp.origin is None:
         raise ValueError("component must carry its back-map (origin)")
-    idx = np.asarray(comp.origin, dtype=np.int64)
-    n = ts.graph.vertex_count
-    if idx.min() < 0 or idx.max() >= n:
-        raise ValueError("component vertices do not index this trajectory set")
+    idx = _check_indices(comp.origin, ts.graph.vertex_count, "component vertex")
     if not np.array_equal(comp.graph.degrees, ts.graph.degrees[idx]):
         raise ValueError("component does not match the simulated graph")
     return EmpiricalMeasure(np.moveaxis(ts.paths[:, idx], 0, 1), ts.times)
@@ -245,10 +242,7 @@ def root_law_monte_carlo(
     root law (dynamics up to step k never see past the depth-k ball).  Batches
     of at most ``batch_size`` trees are simulated as one disjoint-union graph.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    replicas, batch_size = _check_whole(replicas, "replicas", 1), _check_whole(batch_size, "batch_size", 1)
     samples = []
     times = None
     done = 0
@@ -299,8 +293,7 @@ def giant_fraction(
     graph_sampler: Callable[[int, int], Graph], n: int, replicas: int, seed: int
 ) -> tuple[float, float]:
     """Mean and standard error of |C_max| / n over independent n-vertex graph draws."""
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+    n, replicas = _check_whole(n, "n", 1), _check_whole(replicas, "replicas", 1)
     fracs = np.empty(replicas)
     for i in range(replicas):
         g = graph_sampler(n, rng.stream_key(seed, 0x4743, i))
@@ -330,8 +323,7 @@ def component_functional_distribution(
     average ``f`` over the trajectories of the root's component.  ``f`` maps a
     (T+1, m) path block to per-vertex values (m,).
     """
-    if root_draws < 100:
-        raise ValueError("root_draws must be >= 100")
+    root_draws = _check_whole(root_draws, "root_draws", 100)
     out = np.empty(root_draws)
     for i in range(root_draws):
         g = graph_sampler(rng.stream_key(seed, 0x4346, i))
@@ -376,16 +368,15 @@ def shift_average(
     shift.  Radii and box sizes are whole numbers >= 0, and every box plus
     the window must fit inside the simulated lattice.
     """
-    _check_radius(window_radius, "window_radius")
+    w, dim = _check_whole(window_radius, "window_radius"), _check_whole(dim, "dim", 1)
     n = _lattice_geometry(ts, dim)
     side = 2 * n + 1
-    w = window_radius
     offsets = np.stack(
         np.meshgrid(*([np.arange(-w, w + 1)] * dim), indexing="ij"), axis=-1
     ).reshape(-1, dim)
     out = []
     for m in box_sizes:
-        _check_radius(m, "box size")
+        _check_whole(m, "box size")
         if m + w > n:
             raise ValueError(f"box {m} plus window {w} exceeds the lattice half-width {n}")
         centers = np.stack(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .graphs import Graph, _rows
+from .graphs import Graph, _check_indices, _check_whole, _rows
 
 EXACT_STATE_CAP = 10**7
 KERNEL_STATE_CAP = 10**6
@@ -66,23 +66,17 @@ class GibbsSpec:
         return GibbsSpec(tuple(range(a)), np.ones((a, a)), lam)
 
 
-def _config_array(c, n: int) -> np.ndarray:
-    arr = np.asarray(c, dtype=np.int64)
+def _config_array(c, n: int, alphabet_size: int | None = None) -> np.ndarray:
+    """A configuration of symbols, each in [0, alphabet_size) when that is given."""
+    arr = _check_indices(c, alphabet_size, "symbols")
     if arr.shape != (n,):
         raise ValueError("configuration length must equal vertex count")
     return arr
 
 
-def _check_symbols(symbols: np.ndarray, spec: GibbsSpec) -> None:
-    if np.any((symbols < 0) | (symbols >= spec.size)):
-        raise ValueError(f"symbols must lie in [0, {spec.size})")
-
-
 def _region(g: Graph, region) -> np.ndarray:
     """Region vertices as an array, checked to be distinct and in [0, n)."""
-    verts = np.array([int(v) for v in region], dtype=np.int64)
-    if np.any((verts < 0) | (verts >= g.vertex_count)):
-        raise ValueError("region vertex out of range [0, n)")
+    verts = _check_indices(list(region), g.vertex_count, "region vertex")
     if len(np.unique(verts)) != len(verts):
         raise ValueError("region vertices must be distinct")
     return verts
@@ -90,8 +84,7 @@ def _region(g: Graph, region) -> np.ndarray:
 
 def log_unnormalized_weight(g: Graph, spec: GibbsSpec, c) -> float:
     """log of prod_edges psi * prod_vertices lambda (-inf allowed)."""
-    arr = _config_array(c, g.vertex_count)
-    _check_symbols(arr, spec)
+    arr = _config_array(c, g.vertex_count, spec.size)
     with np.errstate(divide="ignore"):
         log_lam = np.log(spec.lam)
         log_psi = np.log(spec.psi)
@@ -124,13 +117,14 @@ class ExactGibbs:
 
     def index_of(self, c) -> int:
         """Row of ``c`` in ``configurations``, which enumerate lexicographically."""
-        arr = _config_array(c, self.configurations.shape[1])
+        arr = _config_array(c, self.configurations.shape[1], self.alphabet_size)
         powers = self.alphabet_size ** np.arange(len(arr) - 1, -1, -1)
         return int(np.dot(arr, powers))
 
     def marginal(self, v: int) -> np.ndarray:
         out = np.zeros(self.alphabet_size)
-        np.add.at(out, self.configurations[:, v].astype(np.int64), self.probabilities)
+        column = self.configurations[:, _check_indices(v, self.configurations.shape[1], "vertex")]
+        np.add.at(out, column.astype(np.int64), self.probabilities)
         return out
 
 
@@ -198,9 +192,10 @@ def conditional_kernel(g: Graph, spec: GibbsSpec, region, boundary: dict[int, in
     """
     region = _region(g, region)
     need = boundary_of(g, region)
+    _check_indices(list(boundary), name="boundary vertex")
     if set(boundary) != set(need):
         raise ValueError(f"boundary must cover exactly {need}")
-    _check_symbols(np.array(list(boundary.values()), dtype=np.int64), spec)
+    _check_indices(list(boundary.values()), spec.size, "boundary symbols")
     count = spec.size ** len(region)
     if count > KERNEL_STATE_CAP:
         raise ValueError(f"conditional state space {count} exceeds the cap {KERNEL_STATE_CAP}")
@@ -236,12 +231,8 @@ def glauber_trace(
 ) -> np.ndarray:
     """Run one Glauber chain, recording configurations every ``record_every`` sweeps
     after burn-in (``record_every=0`` keeps only the final state)."""
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    if record_every < 0:
-        raise ValueError("record_every must be >= 0")
+    sweeps, burn_in = _check_whole(sweeps, "sweeps", 1), _check_whole(burn_in, "burn_in")
+    record_every = _check_whole(record_every, "record_every")
     n = g.vertex_count
     gen = rng.generator(seed, 0x474C)
     lam_cdf = np.cumsum(spec.lam)

@@ -7,6 +7,7 @@ arrays with numpy; the tuple-of-tuples ``adjacency`` is a view derived on
 first use.  Instances are immutable after construction and safe to share
 across threads.  Generators are deterministic functions of their arguments
 and the seed, and refuse to build more than ``SIZE_CAP`` vertices.
+Counts go through ``_check_whole`` and index arrays through ``_check_indices``.
 """
 
 from __future__ import annotations
@@ -34,9 +35,26 @@ def _check_cap(n: int) -> None:
         raise SizeCapError(f"graph would have {n} vertices, above the cap of {SIZE_CAP}")
 
 
-def _check_radius(r, name: str = "radius") -> None:
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 0:
-        raise ValueError(f"{name} must be a whole number >= 0, got {r!r}")
+def _check_whole(value, name: str = "radius", low: int = 0) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, >= ``low``.
+    Nothing is truncated: 2.5, 4.0, True and "3" all raise."""
+    if type(value) is int and value >= low:  # the common case, at a third of the cost
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be a whole number >= {low}, got {value!r}")
+    return int(value)
+
+
+def _check_indices(values, n: int | None = None, name: str = "vertex index") -> np.ndarray:
+    """``values`` as an int64 array, never truncated: a nonempty input must have
+    an integer dtype, and with ``n`` given every entry must lie in [0, n)."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be given as integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    if n is not None and arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise ValueError(f"{name} out of range [0, {n})")
+    return arr
 
 
 def _frozen(a) -> np.ndarray:
@@ -68,7 +86,7 @@ class Graph:
     def __init__(self, adjacency):
         indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
         np.cumsum([len(a) for a in adjacency], out=indptr[1:])
-        indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=int(indptr[-1]))
+        indices = _check_indices([*chain.from_iterable(adjacency)], name="neighbor index")
         _check_csr(indptr, indices, ValueError)
         self._set(indptr, indices, False)
 
@@ -135,11 +153,10 @@ class Graph:
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         """Build and validate a graph from an iterable of (u, v) pairs."""
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+        n = _check_whole(n, "n")
+        arr = _check_indices(edges if isinstance(edges, np.ndarray) else list(edges), n, "edge endpoint")
         arr = arr.reshape(-1, 2)
         if arr.size:
-            if arr.min() < 0 or arr.max() >= n:
-                raise ValueError("edge endpoint out of range")
             if np.any(arr[:, 0] == arr[:, 1]):
                 raise ValueError("self-loop in edge list")
             lo = np.minimum(arr[:, 0], arr[:, 1])
@@ -211,8 +228,7 @@ class RootedGraph:
 
     def __post_init__(self):
         n = self.graph.vertex_count
-        if not (0 <= self.root < n):
-            raise ValueError("root out of range")
+        object.__setattr__(self, "root", int(_check_indices(self.root, n, "root")))
         if len(_bfs(self.graph, self.root)[0]) != n:
             raise ValueError("rooted graph must be connected")
 
@@ -311,8 +327,7 @@ def _disjoint_union(graphs) -> tuple[Graph, np.ndarray]:
 
 def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each unordered pair is an edge independently with probability p."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_whole(n, "n", 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     _check_cap(n)
@@ -350,10 +365,10 @@ def _pair_decode(idx: np.ndarray, n: int) -> np.ndarray:
 
 def gen_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform simple graph with exactly m edges on n labeled vertices."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_whole(n, "n", 1)
+    m = _check_whole(m, f"m={m!r}")
     total = n * (n - 1) // 2
-    if not 0 <= m <= total:
+    if m > total:
         raise ValueError(f"m={m} outside [0, {total}], the available pairs")
     _check_cap(n)
     gen = rng.generator(seed, 0x474D)
@@ -379,6 +394,7 @@ def gen_configuration_model(degrees, seed: int, *, max_pairing_attempts: int = 1
     The whole pairing is resampled up to ``max_pairing_attempts`` times until
     it is simple; on exhaustion one more pairing has its self-loops erased and
     multi-edges collapsed, and the result carries ``erased_fallback=True``.
+    ``degrees`` may be whole-number floats: they are data, not a count argument.
     """
     deg = np.asarray(degrees)
     if deg.dtype.kind not in "iu":  # integer arrays skip the whole-number test
@@ -394,8 +410,7 @@ def gen_configuration_model(degrees, seed: int, *, max_pairing_attempts: int = 1
         raise ValueError("each degree must be < n")
     if int(deg.sum()) % 2 != 0:
         raise ValueError("degree sum must be even")
-    if max_pairing_attempts < 0:
-        raise ValueError("max_pairing_attempts must be >= 0")
+    max_pairing_attempts = _check_whole(max_pairing_attempts, "max_pairing_attempts")
     _check_cap(n)
     stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
     if stubs.size == 0:
@@ -419,7 +434,7 @@ def gen_configuration_model(degrees, seed: int, *, max_pairing_attempts: int = 1
 
 def gen_random_regular(n: int, k: int, seed: int) -> Graph:
     """Uniform k-regular graph via the configuration model."""
-    _check_radius(k, "k")
+    n, k = _check_whole(n, "n", 1), _check_whole(k, "k")
     if (n * k) % 2 != 0:
         raise ValueError("n*k must be even")
     if k >= n:
@@ -433,10 +448,7 @@ def gen_random_regular(n: int, k: int, seed: int) -> Graph:
 
 def gen_lattice_box(dim: int, n: int) -> RootedGraph:
     """Box {-n..n}^dim with nearest-neighbor edges, rooted at the origin."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    dim, n = _check_whole(dim, "dim", 1), _check_whole(n, "n")
     side = 2 * n + 1
     total = side**dim
     _check_cap(total)
@@ -466,10 +478,7 @@ def lattice_coord(index: int, n: int, dim: int) -> tuple[int, ...]:
 
 def gen_regular_tree(k: int, height: int) -> RootedGraph:
     """Rooted tree whose internal vertices have degree k and leaves sit at ``height``."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if height < 0:
-        raise ValueError("height must be >= 0")
+    k, height = _check_whole(k, "k", 2), _check_whole(height, "height")
     if height == 0:
         return RootedGraph(Graph(((),)), 0)
     if k == 2:
@@ -498,13 +507,9 @@ def gen_canopy_truncation(d: int, levels: int, base_width: int, *, root_level: i
     have the wrong degree only near i = levels, simulations on this graph are
     exact for horizons shorter than ``levels - root_level``.
     """
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if base_width < 1:
-        raise ValueError("base_width must be >= 1")
-    if not 0 <= root_level <= levels:
+    d, levels = _check_whole(d, "d", 3), _check_whole(levels, "levels", 1)
+    base_width = _check_whole(base_width, "base_width", 1)
+    if _check_whole(root_level, "root_level") > levels:
         raise ValueError("root_level out of range")
     widths = [base_width * (d - 1) ** (levels - i) for i in range(levels + 1)]
     offsets = np.zeros(levels + 2, dtype=np.int64)
@@ -530,9 +535,7 @@ def gen_canopy_truncation(d: int, levels: int, base_width: int, *, root_level: i
 
 def component_of(g: Graph, v: int) -> RootedGraph:
     """Connected component of v, reindexed in BFS order and rooted at v's image."""
-    if not 0 <= v < g.vertex_count:
-        raise ValueError("vertex out of range")
-    order, _ = _bfs(g, v)
+    order, _ = _bfs(g, int(_check_indices(v, g.vertex_count, "vertex")))
     return _rooted(_induced(g, order), 0, origin=tuple(order))
 
 
@@ -563,6 +566,6 @@ def largest_component(g: Graph) -> RootedGraph:
 
 def ball(rg: RootedGraph, k: int) -> RootedGraph:
     """Induced subgraph on vertices within distance k of the root."""
-    _check_radius(k)
+    _check_whole(k)
     order, _ = _bfs(rg.graph, rg.root, max_depth=k)
     return _rooted(_induced(rg.graph, order), 0, origin=tuple(order))

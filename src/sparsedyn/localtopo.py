@@ -28,7 +28,7 @@ from scipy.sparse import csgraph
 
 from . import rng
 from .empirical import frequency_tv
-from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, _check_radius, _disjoint_union, _induced, _rows
+from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, _check_whole, _disjoint_union, _induced, _rows
 
 # the placement search recurses once per core vertex; _EFFORT_CAP bounds its
 # leaves, and so the placements d_star_marked reads
@@ -60,7 +60,7 @@ def _ball(g: Graph, v: int, r: int | None) -> Ball:
     is the root alone, and then ``codes[0]`` is its AHU code.
     """
     if r is not None:
-        _check_radius(r)
+        _check_whole(r)
     order, pos = _bfs(g, v, max_depth=r)
     ptr, idx = g.csr_lists
     nbrs: list[list[int]] = []
@@ -181,8 +181,7 @@ def d_star_unmarked(a: RootedGraph, b: RootedGraph, k_max: int) -> Interval:
     The untruncated tail is exactly bounded by 2^-k_max, so the true metric
     value lies in [lower, lower + 2^-k_max].
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    k_max = _check_whole(k_max, "k_max", 1)
     lower = 0.0
     for k in range(1, k_max + 1):
         if _ball_code_from(a.graph, a.root, k) != _ball_code_from(b.graph, b.root, k):
@@ -237,8 +236,7 @@ def d_star_marked(a: MarkedGraph, b: MarkedGraph, k_max: int) -> Interval:
     min over core isomorphisms of the max over core vertices of the
     hanging-tree DP.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    k_max = _check_whole(k_max, "k_max", 1)
     lower = 0.0
     for k in range(1, k_max + 1):
         ball_a, ball_b = _ball(a.graph, a.rooted.root, k), _ball(b.graph, b.rooted.root, k)
@@ -381,7 +379,7 @@ def neighborhood_histogram(g: Graph, r: int) -> BallHistogram:
     ``_root_codes`` codes tree balls in bulk and cyclic ones one at a time.
     Codes, counts and their order are those of ``_ball_code_from`` per vertex.
     """
-    _check_radius(r)
+    _check_whole(r)
     return _histogram(_root_codes(g, np.arange(g.vertex_count), r), r)
 
 
@@ -392,7 +390,7 @@ def histogram_of_samples(samples, r: int) -> BallHistogram:
     and cyclic samples alike.  Codes, counts, their order and the total are
     those of coding every sample's ball on its own, in sample order.
     """
-    _check_radius(r)
+    _check_whole(r)
     samples = list(samples)
     union, first = _disjoint_union([rg.graph for rg in samples])
     return _histogram(_root_codes(union, first + [rg.root for rg in samples], r), r)
@@ -422,8 +420,7 @@ def lw_deficiency(
     vertex of g, and ``histogram_of_samples`` over the roots of the draws'
     disjoint union.  Tree balls are coded in bulk, cyclic ones one at a time.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = _check_whole(n_samples, "n_samples", 1)
     graph_hist = neighborhood_histogram(g, r)
     samples = (limit_ball_sampler(rng.stream_key(seed, i)) for i in range(n_samples))
     limit_hist = histogram_of_samples(samples, r)
@@ -439,9 +436,8 @@ def two_root_independence_gap(
     convergence in probability in the local weak sense, which is characterized
     by asymptotic independence of two uniformly rooted components.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    _check_radius(r)
+    n_pairs = _check_whole(n_pairs, "n_pairs", 1)
+    _check_whole(r)
     gen = rng.generator(seed, 0x5452)
     pairs: list[tuple[BallCode, BallCode]] = []
     tally: dict[BallCode, int] = {}

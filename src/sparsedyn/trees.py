@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from . import rng
-from .graphs import Graph, RootedGraph, _check_radius, _from_csr, _rooted
+from .graphs import Graph, RootedGraph, _check_whole, _from_csr, _rooted
 
 DEFAULT_VERTEX_BUDGET = 200_000
 
@@ -82,8 +82,7 @@ def degree_dist(spec) -> DegreeDist:
         if not spec:
             raise ValueError("degree spec is empty")
         for k in spec:
-            if not isinstance(k, (int, np.integer)) or k < 0:
-                raise ValueError(f"degree {k!r} is not an integer >= 0")
+            _check_whole(k, f"degree {k!r}")
         k_max = max(spec)
         dense = np.zeros(k_max + 1)
         for k, p in spec.items():
@@ -130,7 +129,7 @@ def poisson_dist(theta: float, tail_tolerance: float = 1e-12) -> DegreeDist:
 
 
 def delta_dist(k: int) -> DegreeDist:
-    _check_radius(k, "k")
+    k = _check_whole(k, "k")
     p = np.zeros(k + 1)
     p[k] = 1.0
     return DegreeDist(p)
@@ -199,10 +198,8 @@ def sample_forest(
     kept; from then on each generation sums its offspring per tree and drops
     the offspring of trees that would exceed the budget.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    depth, count = _check_whole(depth, "depth"), _check_whole(count, "count", 1)
+    vertex_budget = _check_whole(vertex_budget, "vertex_budget", 1)
     gen = rng.generator(seed, 0x5547)
     roots = np.arange(count, dtype=np.int64)
     truncated = np.zeros(count, dtype=bool)
@@ -404,10 +401,7 @@ def population_survives(
     laws; a population reaching ``POPULATION_CAP`` counts as surviving (the
     conditional extinction probability from that size is negligible).
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    depth, count = _check_whole(depth, "depth"), _check_whole(count, "count", 1)
     gen = rng.generator(seed, 0x5356)
     alive = np.zeros(count, dtype=bool)
     for i in range(count):

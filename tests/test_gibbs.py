@@ -259,7 +259,7 @@ class TestGlauber:
     @pytest.mark.parametrize("burn_in, record_every, what", [(-1, 1, "burn_in"), (2, -1, "record_every")])
     def test_negative_counts_rejected(self, burn_in, record_every, what):
         # record_every=-1 recorded every sweep; burn_in=-1 ran one sweep too few
-        with pytest.raises(ValueError, match=f"{what} must be >= 0"):
+        with pytest.raises(ValueError, match=f"{what} must be a whole number >= 0"):
             glauber_trace(PATH3, GibbsSpec.ising(0.4), 5, burn_in, 3, record_every=record_every)
 
 

@@ -492,7 +492,7 @@ class TestEmptyHistograms:
             lw_deficiency(Graph.from_edges(4, []), lambda s: single, 2, 0, 0)
 
     def test_two_root_gap_without_pairs_raises(self):
-        with pytest.raises(ValueError, match="n_pairs must be >= 1"):
+        with pytest.raises(ValueError, match="n_pairs must be a whole number >= 1"):
             localtopo.two_root_independence_gap(lambda s: path_graph(4), 1, 0, 0)
 
 

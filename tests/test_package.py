@@ -44,3 +44,43 @@ def test_unused_import_check_sees_a_leftover_name():
     leftover = source.replace("import Graph\n", "import Graph, MarkedGraph, RootedGraph\n")
     assert leftover != source
     assert unused_imports(leftover) == {"MarkedGraph", "RootedGraph"}
+
+
+def count_guards(source: str) -> set[int]:
+    """Lines of hand-written count checks: an ``if`` whose test is one ``<`` or
+    ``<=`` between a parameter of its function and an int literal, with a
+    ``raise`` first in its body.  ``graphs._check_whole`` replaces them all."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = {a.arg for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)}
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.If) and isinstance(node.body[0], ast.Raise)):
+                continue
+            test = node.test
+            if isinstance(test, ast.Compare) and len(test.ops) == 1 and isinstance(test.ops[0], (ast.Lt, ast.LtE)):
+                sides = (test.left, test.comparators[0])
+                if (any(isinstance(s, ast.Name) and s.id in params for s in sides)
+                        and any(isinstance(s, ast.Constant) and type(s.value) is int for s in sides)):
+                    found.add(node.lineno)
+    return found
+
+
+def test_no_hand_written_count_guards():
+    found = {f"{path.stem}:{line}" for path in SRC.glob("*.py") for line in count_guards(path.read_text())}
+    assert not found
+
+
+def test_count_guard_check_sees_a_guard():
+    source = (
+        "def f(count, low=0, *, depth=1):\n"
+        "    if count < 1:\n        raise ValueError\n"
+        "    if 0 <= depth:\n        raise ValueError\n"
+        "    if count < low or count < 2:\n        raise ValueError\n"
+        "    if count < 1.5:\n        raise ValueError\n"
+        "    total = count\n"
+        "    if total < 1:\n        raise ValueError\n"
+        "    if count <= 3:\n        return\n"
+    )
+    assert count_guards(source) == {2, 4}
