@@ -16,8 +16,11 @@ the marks, the time grid, the noise draw of a step (uniforms or Gaussians)
 and the update (the batch rule, or the scalar rule run per vertex by the one
 fallback ``_scalar_rule``).  One step loop, ``_states``, drives both
 families, and one runner serves single runs and one serves replica blocks, so
-a replica block is the stack of its single runs, bit for bit.  The engines
-take a :class:`~sparsedyn.graphs.Graph` and raise ``TypeError`` on anything else.
+a replica block is the stack of its single runs, bit for bit.  Discrete rules
+are row-local, so X_v[0..T] reads only B_T(v): a replica block steps only the
+light cone of its recorded vertices, shrinking by one hop per step, while a
+diffusion steps the whole graph.  The engines take a
+:class:`~sparsedyn.graphs.Graph` and raise ``TypeError`` on anything else.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from scipy.sparse import csgraph
 
 from . import rng
 from .graphs import Graph
-from .graphs import _check_indices, _check_whole
+from .graphs import _check_indices, _check_whole, _levels, _rows
 
 _DISC_TAG = 0x44534352
 _DIFF_TAG = 0x44494646
@@ -67,7 +70,8 @@ class GraphAux:
     """Traversal arrays shared by the vectorized update rules.
 
     A view of a :class:`Graph`: its own read-only CSR arrays plus the
-    degrees and sparse matrix the graph derives once and caches.
+    degrees and sparse matrix the graph derives once and caches.  On a
+    light-cone step it is the step's block instead, whose outer rows are empty.
     """
 
     indptr: np.ndarray
@@ -102,6 +106,10 @@ class DiscreteModel:
     is set and the scalar rule per vertex otherwise.  Integer marks are
     symbols of the alphabet and the states stay int64; float marks run as
     float64 states.
+
+    Both rules must be row-local: row v of the next state reads only v's own
+    state, its neighbours' states in ``aux`` and ``u[v]``.  A run recording a
+    few vertices relies on this to update only their light cone.
     """
 
     name: str
@@ -112,10 +120,15 @@ class DiscreteModel:
     def __post_init__(self):
         _check_whole(self.alphabet_size, "alphabet_size", 1)
 
+    def _grid(self, k_max, dt) -> np.ndarray:
+        """The step grid 0..k_max; ``dt`` is unused."""
+        return np.arange(_whole_steps(k_max) + 1, dtype=np.int64)
+
     def _start(self, marks, n: int, k_max, dt, seed: int):
-        """X(0) of shape (n,), the step grid 0..k_max (``dt`` is unused), and
-        the uniform draws and update rule of :func:`_states`."""
-        k_max = _whole_steps(k_max)
+        """X(0) of shape (n,), the :meth:`_grid`, the uniform draws and update
+        rule of :func:`_states`, and True: the rules are row-local, so a run
+        recording a few vertices steps their light cone."""
+        times = self._grid(k_max, dt)
         x0 = np.asarray(marks)
         if x0.shape != (n,):
             raise ValueError("marks length must equal vertex count")
@@ -128,11 +141,15 @@ class DiscreteModel:
             return rng.uniform(key, vertex, k, stream=stream)
 
         def update(k, cur, aux, u):
+            width = len(aux.degrees)
+            cur = cur[..., :width]
+            if u.shape[-1] < width:  # a light-cone step: the outer shell draws 0
+                u = np.concatenate([u, np.zeros((*u.shape[:-1], width - u.shape[-1]))], axis=-1)
             if self.batch_step is not None:
                 return np.asarray(self.batch_step(k, cur, aux, u), dtype=x0.dtype)
             return _scalar_rule(lambda own, nb, ui: self.step(k, own, nb, float(ui)), cur, aux, u, 0)
 
-        return x0, np.arange(k_max + 1, dtype=np.int64), draw, update
+        return x0, times, draw, update, True
 
 
 @dataclass(frozen=True)
@@ -162,11 +179,16 @@ class DiffusionModel:
         if self.batch_drift is not None and callable(self.sigma):
             raise ValueError("batch_drift needs a number sigma, not a sigma rule")
 
+    def _grid(self, horizon: float, dt: float) -> np.ndarray:
+        """The time grid to ``horizon`` in steps of ``dt``."""
+        return np.arange(_step_count(horizon, dt) + 1, dtype=np.float64) * dt
+
     def _start(self, marks, n: int, horizon: float, dt: float, seed: int):
-        """X(0) of shape (n, dim), the time grid to ``horizon`` in steps of
-        ``dt``, and the Gaussian draws and Euler-Maruyama update of :func:`_states`
-        (which raises :class:`NumericalAbort` on a non-finite state)."""
-        steps = _step_count(horizon, dt)
+        """X(0) of shape (n, dim), the :meth:`_grid`, the Gaussian draws and
+        Euler-Maruyama update of :func:`_states` (which raises
+        :class:`NumericalAbort` on a non-finite state), and False: every run
+        steps the whole graph, so any non-finite state aborts it."""
+        times = self._grid(horizon, dt)
         x0 = np.asarray(marks, dtype=np.float64)
         if x0.ndim == 1:
             if self.dim != 1:
@@ -194,7 +216,7 @@ class DiffusionModel:
                 raise NumericalAbort(k + 1)
             return nxt
 
-        return x0, np.arange(steps + 1, dtype=np.float64) * dt, draw, update
+        return x0, times, draw, update, False
 
 
 def _step_count(horizon: float, dt: float) -> int:
@@ -243,34 +265,63 @@ def _scalar_rule(rule, cur: np.ndarray, aux: GraphAux, noise: np.ndarray, state_
     return nxt
 
 
-def _states(aux: GraphAux, steps: int, draw, update, x0: np.ndarray, vertex, stream):
+def _states(blocks, draw, update, x0: np.ndarray, stream):
     """The one step loop: yield X(1), ..., X(steps) from X(0) = ``x0`` of shape
-    (..., n) or (..., n, dim), with X(k) = update(k-1, X(k-1), aux,
-    draw(vertex, k, stream)); ``vertex`` and ``stream`` broadcast to (..., n)."""
+    (..., n) or (..., n, dim).  Step k runs block k-1, ``(aux, vertex)``:
+    X(k) = update(k-1, X(k-1), aux, draw(vertex, k, stream)), where ``vertex``
+    and ``stream`` broadcast to the leading axes and the vertices that draw."""
     cur = x0
-    for k in range(steps):
+    for k, (aux, vertex) in enumerate(blocks):
         cur = update(k, cur, aux, draw(vertex, k + 1, stream))
         yield cur
 
 
+def _light_cone(g: Graph, record: np.ndarray, steps: int):
+    """``(keep, at, blocks)``: the vertices within ``steps`` of ``record`` in
+    (distance, id) order, the position of each record entry in ``keep``, and
+    the block of each step.  X_v(k) for v within steps - k of the record reads
+    X(k-1) within steps - k + 1 alone, so step k runs on that prefix of
+    ``keep``, with the rows of its outer shell emptied and its noise 0.  Rows
+    keep their neighbour order: float sums and scalar rules see what they see
+    on the whole graph."""
+    dist = _levels(g, record.ravel(), steps)
+    ends = np.cumsum(np.bincount(dist, minlength=steps + 2))  # vertices within distance d
+    if np.all(dist[:-1] <= dist[1:]):  # numbered by distance already, as a forest by generation
+        keep, at, indptr, indices = np.arange(ends[steps]), record, g.indptr, g.indices
+    else:
+        order = np.argsort(dist, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        keep, at = order[: ends[steps]], position[record]
+        indptr = np.concatenate([[0], np.cumsum(g.degrees[keep])])
+        indices = position[_rows(g, keep[: ends[steps - 1]])[1]]  # the outer shell's rows stay empty
+
+    def block(k):
+        inner, width = ends[steps - k], ends[steps - k + 1]
+        ptr = np.minimum(indptr[: width + 1], indptr[inner])
+        adjacency = sparse.csr_matrix((np.ones(ptr[-1]), indices[: ptr[-1]], ptr), shape=(width, width))
+        return GraphAux(ptr, indices[: ptr[-1]], np.diff(ptr), adjacency), keep[:inner]
+
+    return keep, at, map(block, range(1, steps + 1))
+
+
 def _begin(model, graph: Graph, marks, horizon, dt, seed: int):
-    """``(x0, times, states)`` of a run of ``model`` on ``graph``, with
-    ``states(x0, vertex, stream)`` its :func:`_states` loop; checks the graph."""
+    """The ``model._start`` of a run on ``graph``; checks the graph."""
     if not isinstance(graph, Graph):
         raise TypeError(f"the dynamics engines take a Graph, got {type(graph).__name__}")
-    x0, times, draw, update = model._start(marks, graph.vertex_count, horizon, dt, seed)
-    return x0, times, partial(_states, GraphAux.of(graph), len(times) - 1, draw, update)
+    return model._start(marks, graph.vertex_count, horizon, dt, seed)
 
 
 def _single(model, graph: Graph, marks, horizon, dt, seed: int, streams, noise_index) -> TrajectorySet:
     """The one runner of single runs: vertex v draws from stream ``streams``
     at noise index ``noise_index`` (integer scalars or per-vertex arrays)."""
-    x0, times, states = _begin(model, graph, marks, horizon, dt, seed)
+    x0, times, draw, update, _ = _begin(model, graph, marks, horizon, dt, seed)
     n = graph.vertex_count
     vertex = np.arange(n, dtype=np.int64) if noise_index is None else _per_vertex(noise_index, n, "noise_index")
+    blocks = [(GraphAux.of(graph), vertex)] * (len(times) - 1)
     paths = np.empty((len(times), *x0.shape), dtype=x0.dtype)
     paths[0] = x0
-    for k, x in enumerate(states(x0, vertex, _per_vertex(streams, n, "streams")), 1):
+    for k, x in enumerate(_states(blocks, draw, update, x0, _per_vertex(streams, n, "streams")), 1):
         paths[k] = x
     return TrajectorySet(graph, times, paths)
 
@@ -280,15 +331,18 @@ def _replicas(model, graph: Graph, marks, horizon, dt, seed: int, replicas: int,
     """The one runner of replica blocks: (replicas, T+1, |record|) paths of
     the recorded vertices (the one component of a dim-1 diffusion), all
     replicas advancing together along a leading axis; replica r is the single
-    run on noise stream 2(r + offset)."""
-    x0, _, states = _begin(model, graph, marks, horizon, dt, seed)
-    n = graph.vertex_count
+    run on noise stream 2(r + offset), on the record's :func:`_light_cone` if
+    the model's ``_start`` says its rules are row-local."""
+    x0, times, draw, update, local = _begin(model, graph, marks, horizon, dt, seed)
+    n, steps = graph.vertex_count, len(times) - 1
     replicas, offset = _check_whole(replicas, "replicas", 1), _check_whole(offset, "replica_offset")
     record = _check_indices(record, n)
-    x0 = np.tile(x0, (replicas,) + (1,) * x0.ndim)
+    keep, at, blocks = (_light_cone(graph, record, steps) if local else
+                        (slice(None), record, [(GraphAux.of(graph), np.arange(n, dtype=np.int64))] * steps))
+    x0 = np.tile(x0[keep], (replicas,) + (1,) * x0.ndim)
     streams = 2 * (offset + np.arange(replicas, dtype=np.int64))[:, None]
-    run = states(x0, np.arange(n, dtype=np.int64)[None, :], streams)
-    paths = np.stack([x0[:, record], *(x[:, record] for x in run)], axis=1)
+    run = _states(blocks, draw, update, x0, streams)
+    paths = np.stack([x0[:, at], *(x[:, at] for x in run)], axis=1)
     return paths.reshape(*paths.shape[:2], *record.shape)
 
 
@@ -312,17 +366,20 @@ def simulate_diffusion(graph: Graph, marks, model: DiffusionModel, horizon: floa
 
 
 def _dispatch(model, horizon, dt):
-    """The one discrete/diffusion dispatch: ``(steps, run, replica_paths)``,
-    the engines of the model's family with model and horizon bound.  They are
-    looked up at call time, so patched module bindings apply."""
+    """The one discrete/diffusion dispatch: ``(times, run, replica_paths,
+    record)``, the model's time grid and the engines of its family with model
+    and horizon bound; ``record(graph, marks, seed, at)`` is one run's paths at
+    the vertices ``at``, for which a discrete run steps only their light cone.
+    The engines are looked up at call time, so patched module bindings apply."""
     if isinstance(model, DiscreteModel):
-        steps = _whole_steps(horizon)
-        return (steps, partial(simulate_discrete, model=model, k_max=steps),
-                partial(replica_paths_discrete, model=model, k_max=steps))
+        replicas = partial(replica_paths_discrete, model=model, k_max=horizon)
+        return (model._grid(horizon, dt), partial(simulate_discrete, model=model, k_max=horizon), replicas,
+                lambda graph, marks, seed, at: replicas(graph, marks, seed=seed, replicas=1, record=at)[0])
     if dt is None:
         raise ValueError("dt is required for diffusion models")
-    return (_step_count(horizon, dt), partial(simulate_diffusion, model=model, horizon=horizon, dt=dt),
-            partial(replica_paths_diffusion, model=model, horizon=horizon, dt=dt))
+    run = partial(simulate_diffusion, model=model, horizon=horizon, dt=dt)
+    return (model._grid(horizon, dt), run, partial(replica_paths_diffusion, model=model, horizon=horizon, dt=dt),
+            lambda graph, marks, seed, at: run(graph, marks, seed=seed).paths[:, at])
 
 
 def simulate(graph: Graph, marks, model, horizon, seed: int, *, dt: float | None = None, streams=0,
@@ -332,7 +389,7 @@ def simulate(graph: Graph, marks, model, horizon, seed: int, *, dt: float | None
     ``horizon`` counts steps for a :class:`DiscreteModel` (a whole number)
     and is a time for a :class:`DiffusionModel`, run in Euler steps of ``dt``.
     """
-    _, run, _ = _dispatch(model, horizon, dt)
+    run = _dispatch(model, horizon, dt)[1]
     return run(graph, marks, seed=seed, streams=streams, noise_index=noise_index)
 
 
@@ -487,7 +544,7 @@ def coupled_triple(
     and Z are therefore driven by disjoint noise collections and are
     independent, while each agrees with X on the complementary half.
     """
-    _, run, _ = _dispatch(model, horizon, dt)
+    run = _dispatch(model, horizon, dt)[1]
     x = run(graph, marks, seed=seed)  # runs first, so the graph is checked before distances_to
     swap = distances_to(graph, region_a) >= distances_to(graph, region_b)
     y, z = (run(graph, marks, seed=seed, streams=np.where(swap, s, 1 - s)) for s in (1, 0))
@@ -576,9 +633,9 @@ def covariance_decay_profile(
     replicas = _check_whole(replicas, "replicas", 100)
     # range-checked by the replica engine, which records these vertices
     needed = np.unique(_check_indices([v for a, b, _ in pairs for v in (*a, *b)]))
-    steps, _, replica_paths = _dispatch(model, horizon, dt)
+    times, _, replica_paths, _ = _dispatch(model, horizon, dt)
     # chunk replicas so recorded paths stay within ~10^7 scalars
-    chunk = max(1, min(replicas, 10_000_000 // max(1, (steps + 1) * len(needed))))
+    chunk = max(1, min(replicas, 10_000_000 // max(1, len(times) * len(needed))))
     fa, fb = np.empty((len(pairs), replicas)), np.empty((len(pairs), replicas))
     done = 0
     while done < replicas:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import optimize
 
 from . import rng
-from .dynamics import DiffusionModel, TrajectorySet, simulate
+from .dynamics import DiffusionModel, TrajectorySet, _dispatch, simulate
 
 # not called here: kept bound because the benchmark's tracer patches these names
 from .dynamics import simulate_diffusion, simulate_discrete  # noqa: F401
@@ -240,23 +240,19 @@ def root_law_monte_carlo(
 
     For discrete models with tree depth >= horizon the result is the exact
     root law (dynamics up to step k never see past the depth-k ball).  Batches
-    of at most ``batch_size`` trees are simulated as one disjoint-union graph.
+    of at most ``batch_size`` trees are simulated as one disjoint-union graph
+    with the noise of ``simulate``; a discrete run steps only the roots' light
+    cone, where step k of T updates the vertices within T - k of a root.
     """
     replicas, batch_size = _check_whole(replicas, "replicas", 1), _check_whole(batch_size, "batch_size", 1)
+    times, _, _, record = _dispatch(model, horizon, dt)
     samples = []
-    times = None
-    done = 0
-    batch_idx = 0
-    while done < replicas:
+    for batch_idx, done in enumerate(range(0, replicas, batch_size)):
         size = min(batch_size, replicas - done)
         forest = tree_sampler(size, rng.stream_key(seed, 0x544C, batch_idx))
         marks = init_sampler(forest.graph, rng.stream_key(seed, 0x494C, batch_idx))
-        ts = simulate(forest.graph, marks, model, horizon, rng.stream_key(seed, 0x4453, batch_idx),
-                      dt=dt)
-        samples.append(np.moveaxis(ts.paths[:, forest.roots], 0, 1))
-        times = ts.times
-        done += size
-        batch_idx += 1
+        paths = record(forest.graph, marks, rng.stream_key(seed, 0x4453, batch_idx), forest.roots)
+        samples.append(np.moveaxis(paths, 0, 1))
     return EmpiricalMeasure(np.concatenate(samples, axis=0), times)
 
 

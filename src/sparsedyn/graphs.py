@@ -273,7 +273,8 @@ def _bfs(g: Graph, start: int, max_depth: int | None = None) -> tuple[list[int],
     distances, use ``dynamics.distances_to``.
     """
     ptr, idx = g.csr_lists
-    start = int(start)
+    if type(start) is not int or not 0 <= start < g.vertex_count:
+        start = int(_check_indices(start, g.vertex_count, "vertex"))
     pos = {start: 0}
     order = [start]
     lo, depth = 0, 0
@@ -287,6 +288,29 @@ def _bfs(g: Graph, start: int, max_depth: int | None = None) -> tuple[list[int],
                     order.append(w)
         lo = hi
     return order, pos
+
+
+def _levels(g: Graph, sources: np.ndarray, depth: int) -> np.ndarray:
+    """Distance from every vertex to the ``sources``, or ``depth + 1`` beyond
+    ``depth``: a BFS from all sources at once, one level at a time.  While the
+    levels are id ranges from 0 (a forest numbered by generation from its
+    roots 0..s-1), the next one is the range up to the level's largest
+    neighbour if each of its vertices has its smallest neighbour below it."""
+    dist = np.full(g.vertex_count, depth + 1, dtype=np.int64)
+    dist[sources] = 0
+    lo, hi = 0, len(sources) if np.array_equal(sources, np.arange(len(sources))) else -1
+    for d in range(1, depth + 1):
+        if hi >= 0:  # the visited ids are 0..hi-1, and the last level is lo..hi-1
+            top = int(g.indices[g.indptr[lo] : g.indptr[hi]].max(initial=hi - 1)) + 1
+            ptr = g.indptr[hi : top + 1]
+            if np.all(ptr[1:] > ptr[:-1]) and np.all(g.indices[ptr[:-1]] < hi):
+                dist[hi:top] = d
+                lo, hi = hi, top
+                continue
+            hi = -1
+        nbr = _rows(g, np.flatnonzero(dist == d - 1))[1]
+        dist[nbr[dist[nbr] > depth]] = d
+    return dist
 
 
 def _rows(g: Graph, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -541,6 +565,8 @@ def component_of(g: Graph, v: int) -> RootedGraph:
 
 def uniform_root_component(g: Graph, seed: int) -> RootedGraph:
     """Component of a uniformly random vertex."""
+    if g.vertex_count == 0:
+        raise ValueError("graph has no vertices to root")
     v = int(rng.generator(seed, 0x524F).integers(0, g.vertex_count))
     return component_of(g, v)
 

@@ -28,7 +28,7 @@ from scipy.sparse import csgraph
 
 from . import rng
 from .empirical import frequency_tv
-from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, _check_whole, _disjoint_union, _induced, _rows
+from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, _check_whole, _disjoint_union, _induced, _levels, _rows
 
 # the placement search recurses once per core vertex; _EFFORT_CAP bounds its
 # leaves, and so the placements d_star_marked reads
@@ -352,16 +352,9 @@ def _root_codes(g: Graph, roots, r: int) -> list[BallCode]:
     relabel walks, and so codes, every ball as in ``g``.  Tree balls, as
     ``_tree_balls`` finds them, are coded in bulk, cyclic ones one at a time.
     """
-    level = roots = np.asarray(roots, dtype=np.int64)
-    inside = np.zeros(g.vertex_count, dtype=bool)
-    inside[roots] = True
-    for _ in range(r):
-        reached = np.zeros_like(inside)
-        reached[_rows(g, level)[1]] = True
-        level = np.flatnonzero(reached > inside)  # reached for the first time
-        inside[level] = True
-    if not inside.all():
-        kept = np.flatnonzero(inside)
+    roots = np.asarray(roots, dtype=np.int64)
+    kept = np.flatnonzero(_levels(g, roots, r) <= r)
+    if len(kept) < g.vertex_count:
         g, roots = _induced(g, kept), np.searchsorted(kept, roots)
     codes = _unrolled_codes(g, r, roots)
     for i in np.flatnonzero(~_tree_balls(g, r, roots)).tolist():

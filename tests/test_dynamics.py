@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedyn.dynamics import (
     DecayProfile,
@@ -23,7 +25,7 @@ from sparsedyn.dynamics import (
     simulate_discrete,
     voter_model,
 )
-from sparsedyn import dynamics, rng
+from sparsedyn import dynamics, empirical, rng, trees
 from sparsedyn.graphs import Graph, MarkedGraph, RootedGraph, gen_lattice_box, gen_regular_tree
 
 K2 = Graph.from_edges(2, [(0, 1)])
@@ -264,6 +266,93 @@ class TestReplicaBatching:
             K2, marks, model, 0.2, 0.01, seed=5, replicas=3, record=[0], replica_offset=3
         )
         assert np.array_equal(full[3:], tail)
+
+
+@st.composite
+def small_graphs(draw):
+    """Sparse graphs on 1-12 vertices, often with isolated vertices."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, draw(st.sets(st.sampled_from(pairs), max_size=n + 2)) if pairs else [])
+
+
+# a scalar rule only, summing floats and weighting neighbours by their place in the row, so that a
+# reordered row changes its output (the built-in rules cannot see the order)
+WEIGHTED = DiscreteModel("weighted", 1, lambda k, own, nb, u: own / 2 + float(nb @ np.arange(1.0, len(nb) + 1)) / 4 + u)
+
+
+def _counting(model, widths):
+    """``model`` with a batch rule that logs how many vertices each call sees."""
+    def batch(k, cur, aux, u):
+        widths.append(cur.shape[-1])
+        return model.batch_step(k, cur, aux, u)
+
+    return dataclasses.replace(model, batch_step=batch)
+
+
+class TestLightCone:
+    """A discrete run that records a few vertices steps only their light cone."""
+
+    @settings(max_examples=150)
+    @given(small_graphs(), st.sampled_from(["voter", "majority", "scalar"]), st.data())
+    def test_recorded_paths_are_the_whole_graph_paths(self, g, name, data):
+        n = g.vertex_count
+        model, marks = {
+            "voter": (voter_model(3), data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))),
+            "majority": (noisy_majority_model(0.3), data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+            "scalar": (WEIGHTED, data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))),
+        }[name]
+        k_max, seed = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 2**32 - 1))
+        record = data.draw(st.lists(st.integers(0, n - 1), max_size=8))  # repeated and unsorted entries
+        replicas, offset = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+        block = replica_paths_discrete(g, marks, model, k_max, seed, replicas, record, replica_offset=offset)
+        for r in range(replicas):
+            whole = simulate_discrete(g, marks, model, k_max, seed, streams=2 * (r + offset)).paths
+            assert block[r].dtype == whole.dtype
+            assert np.array_equal(block[r], whole[:, record])
+
+    def test_relabelled_rows_keep_their_order(self):
+        # records that are not first in (distance, id) order relabel the cone; the order-sensitive
+        # rule sees each row as on the whole graph only if the relabel keeps every row's order
+        g = gen_regular_tree(3, 3).graph
+        marks = np.random.default_rng(4).uniform(-1.0, 1.0, g.vertex_count)
+        for record in ([3], [17, 4, 4, 2], [g.vertex_count - 1, 0]):
+            block = replica_paths_discrete(g, marks, WEIGHTED, 3, 8, 2, record)
+            for r in range(2):
+                whole = simulate_discrete(g, marks, WEIGHTED, 3, 8, streams=2 * r).paths
+                assert np.array_equal(block[r], whole[:, record])
+
+    def test_forest_steps_visit_the_shrinking_balls(self):
+        # step k of T runs on B_{T-k+1}(roots), so the batch rule sees sum_k |B_{T-k+1}| vertices, not T n
+        rho = trees.poisson_dist(2.0)
+        steps = 4
+        forest = trees.sample_forest(rho, rho.ugw_child, steps, 300, 5)
+        n = forest.graph.vertex_count
+        dist = distances_to(forest.graph, forest.roots)
+        balls = [int(np.count_nonzero(dist <= j)) for j in range(steps + 1)]
+        marks = np.arange(n) % 2
+        widths: list[int] = []
+        block = replica_paths_discrete(forest.graph, marks, _counting(voter_model(), widths), steps, 3, 2, forest.roots)
+        assert widths == [balls[steps - k + 1] for k in range(1, steps + 1)]
+        assert sum(widths) < steps * n
+        whole = simulate_discrete(forest.graph, marks, voter_model(), steps, 3, streams=2).paths
+        assert np.array_equal(block[1], whole[:, forest.roots])
+        # root_law_monte_carlo records the roots through the same runner
+        widths.clear()
+        law = empirical.root_law_monte_carlo(lambda count, key: forest, lambda g, key: marks,
+                                             _counting(voter_model(), widths), steps, 300, 9)
+        assert widths == [balls[steps - k + 1] for k in range(1, steps + 1)]
+        assert law.samples.shape == (300, steps + 1)
+
+    def test_diffusion_replicas_step_the_whole_graph(self):
+        # vertex 5 blows up at step 1, five hops from the one recorded vertex
+        blow_up = DiffusionModel("blow_up", 1, lambda t, own, nb: np.where(own > 1, np.inf, 0.0), 0.0,
+                                 batch_drift=lambda t, x, aux: np.where(x > 1, np.inf, 0.0))
+        path = gen_lattice_box(1, 3).graph  # the path 0 - 1 - ... - 6
+        marks = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0])
+        with pytest.raises(NumericalAbort) as err:
+            replica_paths_diffusion(path, marks, blow_up, 0.1, 0.1, seed=1, replicas=2, record=[0])
+        assert err.value.step == 1
 
 
 class TestSimulate:

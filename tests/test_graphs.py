@@ -304,6 +304,11 @@ class TestComponents:
         b = uniform_root_component(g, seed=3)
         assert a.origin == b.origin and a.root == b.root
 
+    def test_uniform_root_of_an_empty_graph_raises(self):
+        # used to die in numpy's Generator.integers(0, 0) with "high <= 0"
+        with pytest.raises(ValueError, match="no vertices"):
+            uniform_root_component(Graph(()), seed=3)
+
 
 class TestLargestComponent:
     def test_sizes_3_and_2(self):
@@ -567,3 +572,33 @@ class TestCsrStorage:
         for region in ([], [3], [-1]):
             with pytest.raises(ValueError):
                 distances_to(g, region)
+
+
+class TestLevels:
+    """``graphs._levels``, the capped multi-source BFS, against ``distances_to``."""
+
+    @settings(max_examples=150)
+    @given(generated_graphs(), st.data())
+    def test_matches_capped_distances(self, g, data):
+        n = g.vertex_count
+        depth = data.draw(st.integers(0, 5))
+        # a prefix 0..s-1 takes the id-range path, as forest roots do; a list may repeat and be unsorted
+        if data.draw(st.booleans()):
+            sources = np.arange(data.draw(st.integers(1, n)))
+        else:
+            sources = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)))
+        want = np.minimum(distances_to(g, sources), depth + 1)
+        assert np.array_equal(graphs._levels(g, sources, depth), want)
+
+    def test_range_path_falls_back_to_index_arrays(self):
+        # 0 - 2 - 1: the range after level {0} would be {1}, whose smallest neighbour is not below it
+        g = Graph.from_edges(4, [(0, 2), (2, 1), (1, 3)])
+        assert graphs._levels(g, np.array([0]), 3).tolist() == [0, 2, 1, 3]
+        assert graphs._levels(g, np.array([0]), 1).tolist() == [0, 2, 1, 2]
+
+    def test_forest_levels_are_generations(self):
+        rho = trees.poisson_dist(2.0)
+        f = trees.sample_forest(rho, trees.size_biased(rho), 4, 50, 3)
+        dist = graphs._levels(f.graph, f.roots, 4)
+        assert np.array_equal(dist, distances_to(f.graph, f.roots))
+        assert np.all(np.diff(dist) >= 0)  # numbered generation by generation

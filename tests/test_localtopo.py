@@ -472,6 +472,16 @@ class TestRadiusCheck:
         with pytest.raises(ValueError, match="radius"):
             localtopo.two_root_independence_gap(lambda s: g, r, 5, 0)
 
+    def test_fractional_or_outside_vertex_raises(self):
+        # _bfs cast the start with int(), so 0.5 coded vertex 0's ball, and -1 coded a lone vertex
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="vertex must be given as integers"):
+            localtopo._ball_code_from(g, 0.5, 1)
+        for v in (-1, 3):
+            with pytest.raises(ValueError, match="vertex out of range"):
+                localtopo._ball_code_from(g, v, 1)
+        assert localtopo._ball_code_from(g, np.int64(1), 1) == localtopo._ball_code_from(g, 1, 1)
+
     def test_whole_radii_pass(self):
         g = path_graph(4)
         assert neighborhood_histogram(g, np.int64(1)).counts == neighborhood_histogram(g, 1).counts
