@@ -18,9 +18,10 @@ fallback ``_scalar_rule``).  One step loop, ``_states``, drives both
 families, and one runner serves single runs and one serves replica blocks, so
 a replica block is the stack of its single runs, bit for bit.  Discrete rules
 are row-local, so X_v[0..T] reads only B_T(v): a replica block steps only the
-light cone of its recorded vertices, shrinking by one hop per step, while a
-diffusion steps the whole graph.  The engines take a
-:class:`~sparsedyn.graphs.Graph` and raise ``TypeError`` on anything else.
+light cone of its recorded vertices, shrinking by one hop per step (rows for
+the vertices that draw, columns for those they read), while a diffusion steps
+the whole graph.  The engines take a :class:`~sparsedyn.graphs.Graph` and
+raise ``TypeError`` on anything else.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class GraphAux:
 
     A view of a :class:`Graph`: its own read-only CSR arrays plus the
     degrees and sparse matrix the graph derives once and caches.  On a
-    light-cone step it is the step's block instead, whose outer rows are empty.
+    light-cone step it is the step's block instead: a row for each vertex that
+    draws noise and a column for each vertex those rows read, the rows first.
     """
 
     indptr: np.ndarray
@@ -84,12 +86,13 @@ class GraphAux:
         return GraphAux(g.indptr, g.indices, g.degrees, g.matrix)
 
     def neighbor_sums(self, values: np.ndarray) -> np.ndarray:
-        """Row sums of neighbor values; ``values`` is (n,) or (..., n)."""
+        """Row sums of neighbor values: ``values`` of shape (..., columns)
+        gives shape (..., rows)."""
         if values.ndim == 1:
             return self.adjacency @ values
         # math.prod rather than -1, which numpy rejects when n is 0
         flat = values.reshape(math.prod(values.shape[:-1]), values.shape[-1])
-        return (self.adjacency @ flat.T).T.reshape(values.shape)
+        return (self.adjacency @ flat.T).T.reshape(*values.shape[:-1], self.adjacency.shape[0])
 
 
 @dataclass(frozen=True)
@@ -101,11 +104,16 @@ class DiscreteModel:
     isolated vertex) and one uniform draw to its next state; it must be
     invariant under permutations of ``neighbor_states``.
     ``batch_step(k, cur, aux, u)`` is an optional vectorised rule giving the
-    same results: ``cur`` and ``u`` have shape ``(..., n)``, leading axes being
-    independent runs such as replicas.  The engines run ``batch_step`` when it
-    is set and the scalar rule per vertex otherwise.  Integer marks are
-    symbols of the alphabet and the states stay int64; float marks run as
-    float64 states.
+    same results: ``cur`` holds the states of the block's columns, shape
+    ``(..., columns)``, leading axes being independent runs such as replicas;
+    the rows' own states are its first ``len(aux.degrees)`` entries; ``u`` and
+    the result have one entry per row, shape ``(..., len(aux.degrees))``.  On
+    a whole-graph step rows and columns are all n vertices; on a light-cone
+    step the columns outnumber the rows, so an elementwise ``cur + u`` fails
+    there with a ``ValueError`` naming the model.  The engines run
+    ``batch_step`` when it is set and the scalar rule per vertex otherwise.
+    Integer marks are symbols of the alphabet and the states stay int64; float
+    marks run as float64 states.
 
     Both rules must be row-local: row v of the next state reads only v's own
     state, its neighbours' states in ``aux`` and ``u[v]``.  A run recording a
@@ -141,13 +149,15 @@ class DiscreteModel:
             return rng.uniform(key, vertex, k, stream=stream)
 
         def update(k, cur, aux, u):
-            width = len(aux.degrees)
-            cur = cur[..., :width]
-            if u.shape[-1] < width:  # a light-cone step: the outer shell draws 0
-                u = np.concatenate([u, np.zeros((*u.shape[:-1], width - u.shape[-1]))], axis=-1)
-            if self.batch_step is not None:
-                return np.asarray(self.batch_step(k, cur, aux, u), dtype=x0.dtype)
-            return _scalar_rule(lambda own, nb, ui: self.step(k, own, nb, float(ui)), cur, aux, u, 0)
+            if self.batch_step is None:
+                return _scalar_rule(lambda own, nb, ui: self.step(k, own, nb, float(ui)), cur, aux, u, 0)
+            try:
+                nxt = np.asarray(self.batch_step(k, cur, aux, u), dtype=x0.dtype)
+            except ValueError as err:  # such as cur + u on a cone block, whose columns outnumber its rows
+                raise ValueError(f"batch_step of {self.name} failed, expected {u.shape}: {err}") from err
+            if nxt.shape != u.shape:
+                raise ValueError(f"batch_step of {self.name} returned shape {nxt.shape}, expected {u.shape}")
+            return nxt
 
         return x0, times, draw, update, True
 
@@ -255,9 +265,10 @@ def _per_vertex(value, n: int, name: str) -> np.ndarray:
 
 def _scalar_rule(rule, cur: np.ndarray, aux: GraphAux, noise: np.ndarray, state_ndim: int) -> np.ndarray:
     """The one scalar fallback: next states from ``rule(own, neighbor_states,
-    noise)`` run per vertex, for each index of the leading run axes of ``cur``
-    (shape (..., n) plus ``state_ndim`` state axes; ``noise`` matches it)."""
-    nxt = np.empty_like(cur)
+    noise)`` run per row, for each index of the leading run axes of ``cur``
+    (shape (..., columns) plus ``state_ndim`` state axes); ``noise`` and the
+    result have one entry per row in place of the columns."""
+    nxt = np.empty(noise.shape, dtype=cur.dtype)
     for idx in np.ndindex(cur.shape[: cur.ndim - 1 - state_ndim]):
         here, out, draws = cur[idx], nxt[idx], noise[idx]
         for v in range(len(aux.degrees)):
@@ -269,7 +280,8 @@ def _states(blocks, draw, update, x0: np.ndarray, stream):
     """The one step loop: yield X(1), ..., X(steps) from X(0) = ``x0`` of shape
     (..., n) or (..., n, dim).  Step k runs block k-1, ``(aux, vertex)``:
     X(k) = update(k-1, X(k-1), aux, draw(vertex, k, stream)), where ``vertex``
-    and ``stream`` broadcast to the leading axes and the vertices that draw."""
+    and ``stream`` broadcast to the leading axes and the block's rows, the
+    vertices that draw; X(k-1) holds the block's columns."""
     cur = x0
     for k, (aux, vertex) in enumerate(blocks):
         cur = update(k, cur, aux, draw(vertex, k + 1, stream))
@@ -280,27 +292,30 @@ def _light_cone(g: Graph, record: np.ndarray, steps: int):
     """``(keep, at, blocks)``: the vertices within ``steps`` of ``record`` in
     (distance, id) order, the position of each record entry in ``keep``, and
     the block of each step.  X_v(k) for v within steps - k of the record reads
-    X(k-1) within steps - k + 1 alone, so step k runs on that prefix of
-    ``keep``, with the rows of its outer shell emptied and its noise 0.  Rows
-    keep their neighbour order: float sums and scalar rules see what they see
-    on the whole graph."""
+    X(k-1) within steps - k + 1 alone, so step k's block has a row for each
+    vertex of the first prefix of ``keep`` and a column for each of the second,
+    all prefix views of arrays built once.  Rows keep their neighbour order:
+    float sums and scalar rules see what they see on the whole graph."""
     dist = _levels(g, record.ravel(), steps)
     ends = np.cumsum(np.bincount(dist, minlength=steps + 2))  # vertices within distance d
+    drawn = ends[steps - 1] if steps else 0  # the vertices that ever draw noise
     if np.all(dist[:-1] <= dist[1:]):  # numbered by distance already, as a forest by generation
         keep, at, indptr, indices = np.arange(ends[steps]), record, g.indptr, g.indices
+        degrees = g.degrees[:drawn]
     else:
         order = np.argsort(dist, kind="stable")
         position = np.empty_like(order)
         position[order] = np.arange(len(order))
-        keep, at = order[: ends[steps]], position[record]
-        indptr = np.concatenate([[0], np.cumsum(g.degrees[keep])])
-        indices = position[_rows(g, keep[: ends[steps - 1]])[1]]  # the outer shell's rows stay empty
+        keep, at, degrees = order[: ends[steps]], position[record], g.degrees[order[:drawn]]
+        indptr = np.concatenate([[0], np.cumsum(degrees)])
+        indices = position[_rows(g, keep[:drawn])[1]]
+    data = np.ones(indptr[drawn])
 
     def block(k):
         inner, width = ends[steps - k], ends[steps - k + 1]
-        ptr = np.minimum(indptr[: width + 1], indptr[inner])
-        adjacency = sparse.csr_matrix((np.ones(ptr[-1]), indices[: ptr[-1]], ptr), shape=(width, width))
-        return GraphAux(ptr, indices[: ptr[-1]], np.diff(ptr), adjacency), keep[:inner]
+        end = indptr[inner]
+        adjacency = sparse.csr_matrix((data[:end], indices[:end], indptr[: inner + 1]), shape=(inner, width))
+        return GraphAux(indptr[: inner + 1], indices[:end], degrees[:inner], adjacency), keep[:inner]
 
     return keep, at, map(block, range(1, steps + 1))
 
@@ -429,12 +444,12 @@ def voter_model(alphabet_size: int = 2) -> DiscreteModel:
         # the pick-th smallest neighbor state exceeds s iff at most pick
         # neighbors hold a state <= s (counts are exact in float64)
         pick = np.floor(u * aux.degrees)
-        at_most = np.zeros(cur.shape)
-        nxt = np.zeros(cur.shape, dtype=np.int64)
+        at_most = np.zeros(pick.shape)
+        nxt = np.zeros(pick.shape, dtype=np.int64)
         for s in range(alphabet_size - 1):
             at_most += aux.neighbor_sums((cur == s).astype(np.float64))
             nxt += at_most <= pick
-        return np.where(aux.degrees > 0, nxt, cur)
+        return np.where(aux.degrees > 0, nxt, cur[..., : len(aux.degrees)])
 
     return DiscreteModel("voter", alphabet_size, step, batch)
 
@@ -460,7 +475,7 @@ def noisy_majority_model(epsilon: float = 0.0) -> DiscreteModel:
     def batch(k, cur, aux: GraphAux, u):
         _check_symbols(cur, "noisy_majority")
         ones = np.rint(aux.neighbor_sums(cur.astype(np.float64))).astype(np.int64)
-        maj = np.where(2 * ones > aux.degrees, 1, np.where(2 * ones < aux.degrees, 0, cur))
+        maj = np.where(2 * ones > aux.degrees, 1, np.where(2 * ones < aux.degrees, 0, cur[..., : len(aux.degrees)]))
         return np.where(u < epsilon, 1 - maj, maj)
 
     return DiscreteModel(f"noisy_majority({epsilon})", 2, step, batch)

@@ -584,9 +584,7 @@ def largest_component(g: Graph) -> RootedGraph:
     """Largest component; ties broken by smallest contained vertex, which roots it."""
     if g.vertex_count < 1:
         raise ValueError("graph must have at least one vertex")
-    labels = component_labels(g)
-    reps, counts = np.unique(labels, return_counts=True)
-    best = reps[np.argmax(counts)]  # np.argmax takes the first max; reps ascend
+    best = np.argmax(np.bincount(component_labels(g)))  # a label is a vertex; np.argmax takes the first max
     return component_of(g, int(best))
 
 

@@ -281,10 +281,10 @@ def small_graphs(draw):
 WEIGHTED = DiscreteModel("weighted", 1, lambda k, own, nb, u: own / 2 + float(nb @ np.arange(1.0, len(nb) + 1)) / 4 + u)
 
 
-def _counting(model, widths):
-    """``model`` with a batch rule that logs how many vertices each call sees."""
+def _counting(model, shapes):
+    """``model`` with a batch rule that logs the rows and the columns of each call's block."""
     def batch(k, cur, aux, u):
-        widths.append(cur.shape[-1])
+        shapes.append((len(aux.degrees), cur.shape[-1]))
         return model.batch_step(k, cur, aux, u)
 
     return dataclasses.replace(model, batch_step=batch)
@@ -323,26 +323,53 @@ class TestLightCone:
                 assert np.array_equal(block[r], whole[:, record])
 
     def test_forest_steps_visit_the_shrinking_balls(self):
-        # step k of T runs on B_{T-k+1}(roots), so the batch rule sees sum_k |B_{T-k+1}| vertices, not T n
+        # step k of T updates B_{T-k}(roots), the vertices that draw, reading B_{T-k+1}(roots),
+        # so the batch rule updates sum_k |B_{T-k}| vertices, not T n
         rho = trees.poisson_dist(2.0)
         steps = 4
         forest = trees.sample_forest(rho, rho.ugw_child, steps, 300, 5)
         n = forest.graph.vertex_count
         dist = distances_to(forest.graph, forest.roots)
         balls = [int(np.count_nonzero(dist <= j)) for j in range(steps + 1)]
+        expect = [(balls[steps - k], balls[steps - k + 1]) for k in range(1, steps + 1)]
         marks = np.arange(n) % 2
-        widths: list[int] = []
-        block = replica_paths_discrete(forest.graph, marks, _counting(voter_model(), widths), steps, 3, 2, forest.roots)
-        assert widths == [balls[steps - k + 1] for k in range(1, steps + 1)]
-        assert sum(widths) < steps * n
+        shapes: list[tuple[int, int]] = []
+        block = replica_paths_discrete(forest.graph, marks, _counting(voter_model(), shapes), steps, 3, 2, forest.roots)
+        assert shapes == expect
+        assert sum(cols for _, cols in shapes) < steps * n
         whole = simulate_discrete(forest.graph, marks, voter_model(), steps, 3, streams=2).paths
         assert np.array_equal(block[1], whole[:, forest.roots])
         # root_law_monte_carlo records the roots through the same runner
-        widths.clear()
+        shapes.clear()
         law = empirical.root_law_monte_carlo(lambda count, key: forest, lambda g, key: marks,
-                                             _counting(voter_model(), widths), steps, 300, 9)
-        assert widths == [balls[steps - k + 1] for k in range(1, steps + 1)]
+                                             _counting(voter_model(), shapes), steps, 300, 9)
+        assert shapes == expect
         assert law.samples.shape == (300, steps + 1)
+
+    @pytest.mark.parametrize("record", [[0], [3]], ids=["in_order", "relabelled"])
+    def test_neighbor_sums_on_a_rectangular_block(self, record):
+        # step 1 of 2 from one vertex of C6 updates its 3 vertices within 1 and reads the 5 within 2
+        keep, _, blocks = dynamics._light_cone(C6, np.array(record), 2)
+        aux, vertex = next(blocks)
+        assert aux.adjacency.shape == (3, 5)
+        assert np.array_equal(vertex, keep[:3])
+        dense = C6.matrix.toarray()[np.ix_(keep[:3], keep[:5])]
+        values = np.random.default_rng(2).uniform(-1.0, 1.0, (2, 5))
+        assert np.allclose(aux.neighbor_sums(values[0]), dense @ values[0])
+        assert aux.neighbor_sums(values).shape == (2, 3)
+        assert np.allclose(aux.neighbor_sums(values), values @ dense.T)
+
+    def test_batch_rule_must_return_one_entry_per_row(self):
+        # an elementwise rule returns one entry per column, and on this cone block the columns
+        # outnumber the rows; the extra entries used to be sliced away a step later
+        model = DiscreteModel("elementwise", 2, lambda k, own, nb, u: 1 - own,
+                              batch_step=lambda k, cur, aux, u: 1 - cur)
+        with pytest.raises(ValueError, match=r"elementwise returned shape \(2, 5\), expected \(2, 3\)"):
+            replica_paths_discrete(C6, np.zeros(6, dtype=np.int64), model, 2, 1, 2, [0])
+        # cur + u, elementwise in both, worked on the square blocks and now fails inside numpy
+        drift = DiscreteModel("drift", 2, lambda k, own, nb, u: own + u, batch_step=lambda k, cur, aux, u: cur + u)
+        with pytest.raises(ValueError, match=r"batch_step of drift failed, expected \(2, 3\): .*broadcast"):
+            replica_paths_discrete(C6, np.zeros(6), drift, 2, 1, 2, [0])
 
     def test_diffusion_replicas_step_the_whole_graph(self):
         # vertex 5 blows up at step 1, five hops from the one recorded vertex
