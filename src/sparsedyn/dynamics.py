@@ -33,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 from . import rng
 from .graphs import Graph
@@ -533,6 +532,7 @@ def distances_to(g: Graph, region) -> np.ndarray:
     region = _check_indices(list(region), g.vertex_count)
     if not region.size:
         raise ValueError("region must be nonempty")
+    from scipy.sparse import csgraph
     found = csgraph.dijkstra(g.matrix, directed=False, indices=region, unweighted=True, min_only=True)
     dist = np.full(g.vertex_count, np.iinfo(np.int64).max, dtype=np.int64)
     reached = np.isfinite(found)

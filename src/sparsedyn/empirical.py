@@ -8,12 +8,10 @@ so the batched run has exactly the law of independent per-tree runs.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from . import rng
 from .dynamics import DiffusionModel, TrajectorySet, _dispatch, simulate
@@ -94,22 +92,35 @@ def trajectory_frequencies(m: EmpiricalMeasure, weights=None) -> dict[bytes, flo
     if m.samples.ndim != 2 or m.samples.dtype.kind not in "iub":
         raise ValueError("finite-alphabet paths need 2-D integer samples, "
                          f"got {m.samples.ndim}-D {m.samples.dtype}")
-    arr = np.ascontiguousarray(m.samples.astype(np.int64))
+    arr = m.samples.astype(np.int64)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (m.count,):
+            raise ValueError(f"weights must have shape ({m.count},), got {weights.shape}")
+        if not np.all(np.isfinite(weights)) or weights.min() < 0:
+            raise ValueError("weights must be finite and >= 0")
+        total = float(weights.sum())
+        if total <= 0:
+            raise ValueError("weights must have a positive sum")
+        weights = weights / total
+    # bincount adds each class's weights in sample order, as a running sum would
+    classes, first = _row_classes(arr)
+    counts = np.bincount(classes, weights)
     if weights is None:
-        return {key: c / len(arr) for key, c in Counter(row.tobytes() for row in arr).items()}
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (m.count,):
-        raise ValueError(f"weights must have shape ({m.count},), got {weights.shape}")
-    if not np.all(np.isfinite(weights)) or weights.min() < 0:
-        raise ValueError("weights must be finite and >= 0")
-    total = float(weights.sum())
-    if total <= 0:
-        raise ValueError("weights must have a positive sum")
-    out: dict[bytes, float] = {}
-    for row, wv in zip(arr, weights):
-        key = row.tobytes()
-        out[key] = out.get(key, 0.0) + float(wv) / total
-    return out
+        counts = counts / len(arr)
+    return dict(zip((row.tobytes() for row in arr[first]), counts.tolist()))
+
+
+def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the equal rows of a 2-D integer array, numbered in the rows'
+    lexicographic order: each row's class, and the first row of each class."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    classes = np.empty(len(rows), dtype=np.int64)
+    classes[order] = np.cumsum(new) - 1
+    return classes, order[new]
 
 
 def frequency_tv(fa: dict, fb: dict) -> float:
@@ -173,6 +184,7 @@ def wasserstein1_paths(a: EmpiricalMeasure, b: EmpiricalMeasure, t: float, seed:
             cost[i] = np.max(np.abs(diff), axis=1)
         else:
             cost[i] = np.max(np.linalg.norm(diff, axis=-1), axis=1)
+    from scipy import optimize
     rows, cols = optimize.linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
 
@@ -201,6 +213,9 @@ def fixed_graph_sampler(rg: RootedGraph) -> Callable[[int, int], Forest]:
 
 
 def bernoulli_init(p: float) -> Callable[[Graph, int], np.ndarray]:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"bernoulli_init requires a finite p in [0, 1], got {p!r}")
+
     def init(g: Graph, seed: int) -> np.ndarray:
         gen = rng.generator(seed, 0x424E)
         return (gen.random(g.vertex_count) < p).astype(np.int64)
@@ -217,6 +232,8 @@ def constant_init(value) -> Callable[[Graph, int], np.ndarray]:
 
 def uniform_box_init(low: float, high: float) -> Callable[[Graph, int], np.ndarray]:
     """I.i.d. uniform marks in [low, high] (bounded, as the diffusion theory wants)."""
+    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        raise ValueError(f"uniform_box_init requires finite low <= high, got {low!r}, {high!r}")
 
     def init(g: Graph, seed: int) -> np.ndarray:
         gen = rng.generator(seed, 0x5542)

@@ -18,8 +18,6 @@ from itertools import chain
 from math import floor, log, log1p
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from . import rng
 
@@ -139,8 +137,9 @@ class Graph:
         return tuple(tuple(idx[ptr[v] : ptr[v + 1]]) for v in range(self.vertex_count))
 
     @cached_property
-    def matrix(self) -> sparse.csr_matrix:
+    def matrix(self) -> "scipy.sparse.csr_matrix":
         """Adjacency matrix with unit weights, rows in the order of ``indices``."""
+        from scipy import sparse
         n = self.vertex_count
         return sparse.csr_matrix((np.ones(len(self.indices)), self.indices, self.indptr), shape=(n, n))
 
@@ -575,6 +574,7 @@ def component_labels(g: Graph) -> np.ndarray:
     """Label array assigning each vertex the smallest vertex of its component."""
     if g.vertex_count == 0:
         return np.zeros(0, dtype=np.int64)
+    from scipy.sparse import csgraph
     _, labels = csgraph.connected_components(g.matrix, directed=False)
     _, smallest = np.unique(labels, return_index=True)
     return smallest[labels].astype(np.int64)

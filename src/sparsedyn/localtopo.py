@@ -23,11 +23,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from . import rng
-from .empirical import frequency_tv
+from .empirical import _row_classes, frequency_tv
 from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, _check_whole, _disjoint_union, _induced, _levels, _rows
 
 # the placement search recurses once per core vertex; _EFFORT_CAP bounds its
@@ -191,6 +189,8 @@ def d_star_unmarked(a: RootedGraph, b: RootedGraph, k_max: int) -> Interval:
 
 def _bottleneck(cost: np.ndarray) -> float:
     """Min over perfect matchings of the max entry of a square cost matrix."""
+    from scipy import sparse
+    from scipy.sparse import csgraph
     values = np.unique(cost)
     lo, hi = 0, len(values) - 1
     while lo < hi:
@@ -284,20 +284,25 @@ def _unrolled_codes(g: Graph, r: int, roots: np.ndarray) -> list[BallCode]:
     back = np.searchsorted(src * n + dst, dst * n + src)  # the entry b -> a of a -> b
     message = np.zeros(len(dst), dtype=np.int64)
     names = [b"()"]
-    bounds = message.itemsize * g.indptr
     for rnd in range(r):
-        # classes of the sorted multisets of messages into each vertex, or each root last
+        # classes of the sorted multisets of messages into each vertex, or each root
+        # last, classed one degree at a time so no row is padded
         scale = len(names) * src
-        packed = (np.sort(scale + message) - scale).tobytes()
-        table: dict[bytes, int] = {}
+        ordered = np.sort(scale + message) - scale
         at = roots if rnd == r - 1 else np.arange(n)
-        lo, hi = bounds[at].tolist(), bounds[at + 1].tolist()
-        into = [table.setdefault(packed[a:b], len(table)) for a, b in zip(lo, hi)]
-        rows = [np.frombuffer(key, dtype=np.int64).tolist() for key in table]
+        degree = g.degrees[at]
+        by = np.argsort(degree, kind="stable")
+        into = np.empty(len(at), dtype=np.int64)
+        rows: list[list[int]] = []
+        for pick in np.split(by, np.flatnonzero(np.diff(degree[by], prepend=-1)))[1:]:
+            block = ordered[g.indptr[at[pick], None] + np.arange(degree[pick[0]])]
+            classes, first = _row_classes(block)
+            into[pick] = len(rows) + classes
+            rows += block[first].tolist()
         if rnd == r - 1:
             codes = [b"(" + b"".join(names[c] for c in row) + b")" for row in rows]
-            return [codes[c] for c in into]
-        pair = np.asarray(into)[dst] * len(names) + message[back]
+            return [codes[c] for c in into.tolist()]
+        pair = into[dst] * len(names) + message[back]
         pairs = np.sort(pair)
         pairs = pairs[np.diff(pairs, prepend=-1) != 0]
         refined = []

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from . import rng
 from .graphs import Graph, RootedGraph, _check_whole, _from_csr, _rooted
@@ -380,8 +379,9 @@ def poisson_dual(theta_value: float) -> float:
 
     Closed form t = -W0(-theta e^{-theta}) on the principal Lambert W branch.
     """
-    if theta_value <= 1.0:
-        raise ValueError("poisson_dual requires theta > 1")
+    if not 1.0 < theta_value < math.inf:
+        raise ValueError("poisson_dual requires a finite theta > 1")
+    from scipy import special
     return float(-special.lambertw(-theta_value * math.exp(-theta_value)).real)
 
 

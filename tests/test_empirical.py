@@ -157,6 +157,23 @@ class TestTrajectoryFrequencies:
         f = trajectory_frequencies(m, [2.0, 1.0, 1.0])
         assert f == {np.array([0, 0]).tobytes(): 0.5, np.array([1, 1]).tobytes(): 0.5}
 
+    def test_counts_equal_a_running_tally(self):
+        gen = np.random.default_rng(20)
+        for trial in range(40):
+            count, steps = int(gen.integers(1, 80)), int(gen.integers(0, 5))
+            paths = gen.integers(-2, 3, (count, steps))
+            weights = gen.random(count) * (gen.random(count) < 0.7)
+            weights[0] += 0.5
+            unweighted: dict[bytes, int] = {}
+            weighted: dict[bytes, float] = {}
+            for row, w in zip(paths, weights):
+                key = row.tobytes()
+                unweighted[key] = unweighted.get(key, 0) + 1
+                weighted[key] = weighted.get(key, 0.0) + float(w) / float(weights.sum())
+            m = EmpiricalMeasure(paths, np.arange(steps))
+            assert trajectory_frequencies(m) == {key: c / count for key, c in unweighted.items()}
+            assert trajectory_frequencies(m, weights) == weighted
+
     def test_vector_paths_rejected(self):
         with pytest.raises(ValueError, match="finite-alphabet"):
             trajectory_frequencies(measure_from([[0.5, 1.0]]))
@@ -294,6 +311,18 @@ class TestRootLawMonteCarlo:
                 root_law_monte_carlo(sampler, bernoulli_init(0.5), voter_model(), 2, replicas, seed=1)
         with pytest.raises(ValueError, match="batch_size"):
             root_law_monte_carlo(sampler, bernoulli_init(0.5), voter_model(), 2, 10, seed=1, batch_size=-1)
+
+    @pytest.mark.parametrize("factory, args", [
+        (bernoulli_init, (1.5,)),  # marked every vertex 1
+        (bernoulli_init, (-0.1,)),
+        (bernoulli_init, (math.nan,)),  # marked every vertex 0
+        (uniform_box_init, (1.0, 0.0)),  # failed only when called, inside numpy
+        (uniform_box_init, (0.0, math.inf)),  # OverflowError when called
+        (uniform_box_init, (math.nan, 1.0)),
+    ])
+    def test_init_factories_reject_parameters_they_cannot_honour(self, factory, args):
+        with pytest.raises(ValueError, match=f"{factory.__name__} requires"):
+            factory(*args)
 
     def test_zero_batch_size_returns_promptly(self):
         # batch_size=0 drew empty batches forever.  A child process turns a

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +374,20 @@ class TestRootCodes:
         roots = np.random.default_rng(r).permutation(g.vertex_count)[:37]
         want = [localtopo._ball_code_from(g, int(v), r) for v in roots]
         assert localtopo._root_codes(g, roots, r) == want
+
+    def test_a_star_is_coded_in_memory_that_grows_with_its_edges(self):
+        n = 5001
+        g = Graph.from_edges(n, np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)]))
+        tracemalloc.start()
+        try:
+            codes = localtopo._unrolled_codes(g, 2, np.arange(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an n x (largest degree) int64 matrix alone would be 200 MB
+        assert peak < 20e6
+        assert codes[0] == localtopo._ball_code_from(g, 0, 2)
+        assert codes[1:] == [localtopo._ball_code_from(g, 1, 2)] * (n - 1)
 
 
 @st.composite

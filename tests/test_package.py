@@ -1,7 +1,10 @@
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,27 @@ def unused_imports(source: str) -> set[str]:
         for alias in node.names
     }
     return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+# scipy modules that only rarely called functions use; a cold import loads none
+UNUSED_AT_IMPORT = ("scipy.optimize", "scipy.special", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+# one call of each function that imports one of them; run cold and in the test process
+LAZY_CALLS = """
+import numpy as np
+from sparsedyn.dynamics import distances_to
+from sparsedyn.empirical import EmpiricalMeasure, wasserstein1_paths
+from sparsedyn.graphs import Graph, MarkedGraph, component_labels, gen_regular_tree
+from sparsedyn.localtopo import d_star_marked
+from sparsedyn.trees import poisson_dual
+
+gen = np.random.default_rng(20)
+g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
+a, b = (EmpiricalMeasure(gen.normal(0.0, 1.0, (40, 4)), np.arange(4.0)) for _ in range(2))
+tree = gen_regular_tree(3, 2)
+x, y = (MarkedGraph(tree, gen.uniform(0.0, 1.0, tree.vertex_count)) for _ in range(2))
+values = [poisson_dual(2.0), wasserstein1_paths(a, b, 3.0), component_labels(g).tolist(),
+          distances_to(g, [0]).tolist(), d_star_marked(x, y, 2)]
+"""
 
 
 def test_package_has_submodules():
@@ -84,3 +108,23 @@ def test_count_guard_check_sees_a_guard():
         "    if count <= 3:\n        return\n"
     )
     assert count_guards(source) == {2, 4}
+
+
+def test_cold_import_loads_only_the_scipy_it_runs():
+    script = (
+        "import importlib, sys\n"
+        "from sparsedyn import gibbs, graphs, rng, trees\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"for name in {SUBMODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        f"print(sorted(m for m in {UNUSED_AT_IMPORT!r} if m in sys.modules))\n"
+        f"{LAZY_CALLS}\n"
+        "print(repr(values))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         timeout=60, check=True).stdout.splitlines()
+    assert out[:2] == ["[]", "[]"]
+    here: dict = {}
+    exec(LAZY_CALLS, here)
+    assert out[2] == repr(here["values"])

@@ -323,6 +323,11 @@ class TestDuality:
         with pytest.raises(ValueError):
             poisson_dual(1.0)
 
+    @pytest.mark.parametrize("th", [math.nan, math.inf])
+    def test_poisson_dual_rejects_a_non_finite_theta(self, th):
+        with pytest.raises(ValueError, match="requires a finite theta > 1"):
+            poisson_dual(th)
+
     def test_theta_beta_identity(self):
         for th in (1.5, 2.0, 3.0):
             rho = poisson_dist(th)
