@@ -289,25 +289,23 @@ def _states(blocks, draw, update, x0: np.ndarray, stream):
 
 def _light_cone(g: Graph, record: np.ndarray, steps: int):
     """``(keep, at, blocks)``: the vertices within ``steps`` of ``record`` in
-    (distance, id) order, the position of each record entry in ``keep``, and
-    the block of each step.  X_v(k) for v within steps - k of the record reads
+    BFS visit order, the position of each record entry in ``keep``, and the
+    block of each step.  X_v(k) for v within steps - k of the record reads
     X(k-1) within steps - k + 1 alone, so step k's block has a row for each
     vertex of the first prefix of ``keep`` and a column for each of the second,
     all prefix views of arrays built once.  Rows keep their neighbour order:
     float sums and scalar rules see what they see on the whole graph."""
-    dist = _levels(g, record.ravel(), steps)
-    ends = np.cumsum(np.bincount(dist, minlength=steps + 2))  # vertices within distance d
+    keep, ends = _levels(g, record.ravel(), steps)  # ends[d]: vertices within distance d
     drawn = ends[steps - 1] if steps else 0  # the vertices that ever draw noise
-    if np.all(dist[:-1] <= dist[1:]):  # numbered by distance already, as a forest by generation
-        keep, at, indptr, indices = np.arange(ends[steps]), record, g.indptr, g.indices
-        degrees = g.degrees[:drawn]
+    if np.array_equal(keep, np.arange(len(keep))):  # numbered in visit order already, as a forest by generation
+        at, indptr, indices = record, g.indptr, g.indices
+        degrees = np.diff(g.indptr[: drawn + 1])
     else:
-        order = np.argsort(dist, kind="stable")
-        position = np.empty_like(order)
-        position[order] = np.arange(len(order))
-        keep, at, degrees = order[: ends[steps]], position[record], g.degrees[order[:drawn]]
+        by_id = np.argsort(keep)
+        at = by_id[np.searchsorted(keep, record, sorter=by_id)]
+        degrees = g.indptr[keep[:drawn] + 1] - g.indptr[keep[:drawn]]
         indptr = np.concatenate([[0], np.cumsum(degrees)])
-        indices = position[_rows(g, keep[:drawn])[1]]
+        indices = by_id[np.searchsorted(keep, _rows(g, keep[:drawn])[1], sorter=by_id)]
     data = np.ones(indptr[drawn])
 
     def block(k):
@@ -527,16 +525,16 @@ def kuramoto_model(coupling: float = 1.0, sigma0: float = 0.0) -> DiffusionModel
 def distances_to(g: Graph, region) -> np.ndarray:
     """Graph distance from every vertex to a vertex set (multi-source BFS).
 
-    Vertices the region cannot reach get ``iinfo(int64).max``.
+    Vertices the region cannot reach get ``iinfo(int64).max``.  Beyond
+    filling the result, the cost is that of the part the region reaches plus
+    a fixed numpy cost per level, so a long path pays for every hop.
     """
     region = _check_indices(list(region), g.vertex_count)
     if not region.size:
         raise ValueError("region must be nonempty")
-    from scipy.sparse import csgraph
-    found = csgraph.dijkstra(g.matrix, directed=False, indices=region, unweighted=True, min_only=True)
+    order, ends = _levels(g, region)
     dist = np.full(g.vertex_count, np.iinfo(np.int64).max, dtype=np.int64)
-    reached = np.isfinite(found)
-    dist[reached] = found[reached]
+    dist[order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
     return dist
 
 

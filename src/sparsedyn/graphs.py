@@ -228,7 +228,7 @@ class RootedGraph:
     def __post_init__(self):
         n = self.graph.vertex_count
         object.__setattr__(self, "root", int(_check_indices(self.root, n, "root")))
-        if len(_bfs(self.graph, self.root)[0]) != n:
+        if len(_levels(self.graph, [self.root])[0]) != n:
             raise ValueError("rooted graph must be connected")
 
     @property
@@ -263,62 +263,55 @@ class MarkedGraph:
         return self.rooted.graph
 
 
-def _bfs(g: Graph, start: int, max_depth: int | None = None) -> tuple[list[int], dict[int, int]]:
-    """Vertices within ``max_depth`` hops of ``start`` in BFS order, and each
-    one's position in that order.
-
-    Neighbors are visited in increasing index order.  The cost is that of the
-    reached part only, so tiny balls of large graphs stay cheap.  For
-    distances, use ``dynamics.distances_to``.
-    """
-    ptr, idx = g.csr_lists
-    if type(start) is not int or not 0 <= start < g.vertex_count:
-        start = int(_check_indices(start, g.vertex_count, "vertex"))
-    pos = {start: 0}
-    order = [start]
-    lo, depth = 0, 0
-    while lo < len(order) and (max_depth is None or depth < max_depth):
-        depth += 1
-        hi = len(order)
-        for u in order[lo:hi]:
-            for w in idx[ptr[u] : ptr[u + 1]]:
-                if w not in pos:
-                    pos[w] = len(order)
-                    order.append(w)
-        lo = hi
-    return order, pos
-
-
-def _levels(g: Graph, sources: np.ndarray, depth: int) -> np.ndarray:
-    """Distance from every vertex to the ``sources``, or ``depth + 1`` beyond
-    ``depth``: a BFS from all sources at once, one level at a time.  While the
-    levels are id ranges from 0 (a forest numbered by generation from its
-    roots 0..s-1), the next one is the range up to the level's largest
-    neighbour if each of its vertices has its smallest neighbour below it."""
-    dist = np.full(g.vertex_count, depth + 1, dtype=np.int64)
-    dist[sources] = 0
-    lo, hi = 0, len(sources) if np.array_equal(sources, np.arange(len(sources))) else -1
-    for d in range(1, depth + 1):
+def _levels(g: Graph, sources, depth: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """The vertices within ``depth`` hops of ``sources`` (all they reach if
+    None) in BFS order, and the level ends: ``ends[d]`` of them lie within
+    distance d, for d = 0..depth (to the last level if None).  The order is
+    the distinct sources, increasing, then each level as the rows of the one
+    before first meet it.  A bool mask marks the visited vertices and the
+    walk stops at an empty level: it costs what it reaches, plus a fixed
+    numpy cost per level.  While the levels are id ranges from 0 (a forest
+    by generation from roots 0..s-1), the next is the range up to the level's
+    largest neighbour if each vertex has its smallest neighbour, its parent,
+    below it and the parents do not decrease: the range is the visit order."""
+    levels = [np.unique(sources, return_index=True)[0]]  # sorting here beats np.unique's default hash table
+    ends = [len(levels[0])]
+    seen = np.zeros(g.vertex_count, dtype=bool)
+    seen[levels[0]] = True
+    lo, hi = 0, ends[0] if np.array_equal(levels[0], np.arange(ends[0])) else -1
+    for _ in range(g.vertex_count if depth is None else depth):
         if hi >= 0:  # the visited ids are 0..hi-1, and the last level is lo..hi-1
             top = int(g.indices[g.indptr[lo] : g.indptr[hi]].max(initial=hi - 1)) + 1
+            if top == hi:
+                break
             ptr = g.indptr[hi : top + 1]
-            if np.all(ptr[1:] > ptr[:-1]) and np.all(g.indices[ptr[:-1]] < hi):
-                dist[hi:top] = d
+            parent = g.indices[ptr[:-1]]  # in bounds: vertex top - 1 has a neighbour
+            if np.all(ptr[1:] > ptr[:-1]) and np.all(parent < hi) and np.all(parent[1:] >= parent[:-1]):
                 lo, hi = hi, top
+                ends.append(hi)
                 continue
-            hi = -1
-        nbr = _rows(g, np.flatnonzero(dist == d - 1))[1]
-        dist[nbr[dist[nbr] > depth]] = d
-    return dist
+            seen[:hi] = True
+            levels, hi = [np.arange(lo), np.arange(lo, hi)], -1
+        nbr = _rows(g, levels[-1])[1]
+        nbr = nbr[~seen[nbr]]
+        new = nbr[np.sort(np.unique(nbr, return_index=True)[1])]  # each new vertex where first met
+        if not len(new):
+            break
+        seen[new] = True
+        levels.append(new)
+        ends.append(ends[-1] + len(new))
+    if depth is not None:
+        ends += [ends[-1]] * (depth + 1 - len(ends))
+    return np.arange(hi) if hi >= 0 else np.concatenate(levels), ends
 
 
 def _rows(g: Graph, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The adjacency entries of ``verts``, row after row: for each entry, the
     position of its row in ``verts``, and the neighbor it holds."""
-    deg = g.degrees[verts]
+    start = g.indptr[verts]
+    deg = g.indptr[verts + 1] - start
     which = np.repeat(np.arange(len(verts), dtype=np.int64), deg)
-    first = np.repeat(g.indptr[verts] - (np.cumsum(deg) - deg), deg)
-    return which, g.indices[first + np.arange(len(which))]
+    return which, g.indices[np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(len(which))]
 
 
 def _induced(g: Graph, vertices) -> Graph:
@@ -484,8 +477,7 @@ def gen_lattice_box(dim: int, n: int) -> RootedGraph:
         edges.append(np.stack([lo, hi], axis=1))
     arr = np.concatenate(edges, axis=0) if edges else np.zeros((0, 2), dtype=np.int64)
     g = _from_edge_arrays(total, arr)
-    root = int(np.ravel_multi_index((n,) * dim, shape))
-    return RootedGraph(g, root)
+    return _rooted(g, int(np.ravel_multi_index((n,) * dim, shape)))
 
 
 def lattice_index(coord, n: int, dim: int) -> int:
@@ -503,7 +495,7 @@ def gen_regular_tree(k: int, height: int) -> RootedGraph:
     """Rooted tree whose internal vertices have degree k and leaves sit at ``height``."""
     k, height = _check_whole(k, "k", 2), _check_whole(height, "height")
     if height == 0:
-        return RootedGraph(Graph(((),)), 0)
+        return _rooted(Graph(((),)), 0)
     if k == 2:
         total = 2 * height + 1
     else:
@@ -518,7 +510,7 @@ def gen_regular_tree(k: int, height: int) -> RootedGraph:
         level = np.arange(level[-1] + 1, level[-1] + 1 + parents[-1].size, dtype=np.int64)
     parent = np.concatenate(parents)
     g = _from_edge_arrays(total, np.stack([parent, np.arange(1, total, dtype=np.int64)], axis=1))
-    return RootedGraph(g, 0)
+    return _rooted(g, 0)
 
 
 def gen_canopy_truncation(d: int, levels: int, base_width: int, *, root_level: int = 0) -> RootedGraph:
@@ -548,7 +540,7 @@ def gen_canopy_truncation(d: int, levels: int, base_width: int, *, root_level: i
     g = _from_edge_arrays(total, np.concatenate(edges, axis=0))
     root = int(offsets[root_level])
     if base_width == 1:
-        return RootedGraph(g, root)
+        return _rooted(g, root)
     return component_of(g, root)
 
 
@@ -558,8 +550,8 @@ def gen_canopy_truncation(d: int, levels: int, base_width: int, *, root_level: i
 
 def component_of(g: Graph, v: int) -> RootedGraph:
     """Connected component of v, reindexed in BFS order and rooted at v's image."""
-    order, _ = _bfs(g, int(_check_indices(v, g.vertex_count, "vertex")))
-    return _rooted(_induced(g, order), 0, origin=tuple(order))
+    order = _levels(g, _check_indices(v, g.vertex_count, "vertex"))[0]
+    return _rooted(_induced(g, order), 0, origin=tuple(order.tolist()))
 
 
 def uniform_root_component(g: Graph, seed: int) -> RootedGraph:
@@ -591,5 +583,5 @@ def largest_component(g: Graph) -> RootedGraph:
 def ball(rg: RootedGraph, k: int) -> RootedGraph:
     """Induced subgraph on vertices within distance k of the root."""
     _check_whole(k)
-    order, _ = _bfs(rg.graph, rg.root, max_depth=k)
-    return _rooted(_induced(rg.graph, order), 0, origin=tuple(order))
+    order = _levels(rg.graph, [rg.root], k)[0]
+    return _rooted(_induced(rg.graph, order), 0, origin=tuple(order.tolist()))

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import rng
 from .empirical import _row_classes, frequency_tv
-from .graphs import Graph, MarkedGraph, RootedGraph, _bfs, _check_whole, _disjoint_union, _induced, _levels, _rows
+from .graphs import (Graph, MarkedGraph, RootedGraph, _check_indices, _check_whole, _disjoint_union, _induced,
+                     _levels, _rows)
 
 # the placement search recurses once per core vertex; _EFFORT_CAP bounds its
 # leaves, and so the placements d_star_marked reads
@@ -59,13 +60,21 @@ def _ball(g: Graph, v: int, r: int | None) -> Ball:
     """
     if r is not None:
         _check_whole(r)
-    order, pos = _bfs(g, v, max_depth=r)
+    if type(v) is not int or not 0 <= v < g.vertex_count:
+        v = int(_check_indices(v, g.vertex_count, "vertex"))
     ptr, idx = g.csr_lists
-    nbrs: list[list[int]] = []
-    for u in order:
+    pos, order, nbrs = {v: 0}, [v], []
+    end, depth = 1, 0  # order[:end] lies within distance depth
+    for u in order:  # a queue: the loop reaches the vertices it appends
+        if len(nbrs) == end:
+            end, depth = len(order), depth + 1
+        grow = r is None or depth < r
         nb = []
         for w in idx[ptr[u] : ptr[u + 1]]:
             i = pos.get(w)
+            if i is None and grow:
+                i = pos[w] = len(order)
+                order.append(w)
             if i is not None:
                 nb.append(i)
         nbrs.append(nb)
@@ -358,7 +367,7 @@ def _root_codes(g: Graph, roots, r: int) -> list[BallCode]:
     ``_tree_balls`` finds them, are coded in bulk, cyclic ones one at a time.
     """
     roots = np.asarray(roots, dtype=np.int64)
-    kept = np.flatnonzero(_levels(g, roots, r) <= r)
+    kept = np.sort(_levels(g, roots, r)[0])
     if len(kept) < g.vertex_count:
         g, roots = _induced(g, kept), np.searchsorted(kept, roots)
     codes = _unrolled_codes(g, r, roots)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,7 +313,7 @@ class TestLightCone:
             assert np.array_equal(block[r], whole[:, record])
 
     def test_relabelled_rows_keep_their_order(self):
-        # records that are not first in (distance, id) order relabel the cone; the order-sensitive
+        # records that are not first in BFS visit order relabel the cone; the order-sensitive
         # rule sees each row as on the whole graph only if the relabel keeps every row's order
         g = gen_regular_tree(3, 3).graph
         marks = np.random.default_rng(4).uniform(-1.0, 1.0, g.vertex_count)
@@ -358,6 +359,22 @@ class TestLightCone:
         assert np.allclose(aux.neighbor_sums(values[0]), dense @ values[0])
         assert aux.neighbor_sums(values).shape == (2, 3)
         assert np.allclose(aux.neighbor_sums(values), values @ dense.T)
+
+    def test_cone_memory_grows_with_the_cone_not_the_graph(self):
+        # a T = 4 cone of one vertex has 41 vertices; the walk used to fill an n-long int64
+        # distance array and argsort all n vertices, 32 bytes per graph vertex at the peak
+        g = gen_lattice_box(2, 200).graph
+        v = g.vertex_count // 3
+        tracemalloc.start()
+        try:
+            keep, _, blocks = dynamics._light_cone(g, np.array([v]), 4)
+            for _ in blocks:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(keep) == 41
+        assert peak < 2 * g.vertex_count
 
     def test_batch_rule_must_return_one_entry_per_row(self):
         # an elementwise rule returns one entry per column, and on this cone block the columns

@@ -354,6 +354,14 @@ class TestInvariantsAndSerialization:
             gen_erdos_renyi(150, 0.03, seed=seed).validate()
             gen_gnm(100, 180, seed=seed).validate()
             gen_configuration_model([2] * 30 + [3] * 10 + [1] * 10, seed=seed).validate()
+        # these skip the connectivity walk of RootedGraph: each must be connected by construction
+        built = [gen_lattice_box(dim, n) for dim in (1, 2, 3) for n in (0, 1, 3)]
+        built += [gen_regular_tree(k, h) for k in (2, 3, 4) for h in (0, 1, 4)]
+        built += [gen_canopy_truncation(d, 3, 1, root_level=i) for d in (3, 4) for i in range(4)]
+        for rg in built:
+            rg.graph.validate()
+            assert 0 <= rg.root < rg.vertex_count
+            assert not graphs.component_labels(rg.graph).any()
 
     def test_rooted_requires_connected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -461,6 +469,23 @@ def _reference_labels(g):
     return labels
 
 
+def _reference_bfs(g, sources, depth):
+    """BFS by its definition: the distinct sources in increasing order, then
+    each level in the order in which the rows of the level before, read in
+    turn, first meet it; and the number of vertices within each distance up
+    to ``depth``."""
+    order = sorted(set(sources))
+    seen, ends = set(order), [len(order)]
+    for _ in range(depth):
+        for u in order[ends[-2] if len(ends) > 1 else 0 : ends[-1]]:
+            for w in g.adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+        ends.append(len(order))
+    return order, ends
+
+
 def _reference_distances(g, region):
     big = np.iinfo(np.int64).max
     dist = [big] * g.vertex_count
@@ -505,11 +530,18 @@ class TestCsrStorage:
         region = data.draw(st.lists(st.integers(0, g.vertex_count - 1), min_size=1, max_size=3))
         assert distances_to(g, region).tolist() == _reference_distances(g, region)
         v = data.draw(st.integers(0, g.vertex_count - 1))
-        order, pos = graphs._bfs(g, v, max_depth=2)
-        ref = distances_to(g, [v])
-        assert sorted(order) == [u for u in range(g.vertex_count) if ref[u] <= 2]
-        assert all(ref[a] <= ref[b] for a, b in zip(order, order[1:]))
-        assert pos == {u: i for i, u in enumerate(order)}
+        order, ends = graphs._levels(g, [v], 2)
+        assert (order.tolist(), ends) == _reference_bfs(g, [v], 2)
+
+    @settings(max_examples=100)
+    @given(generated_graphs(), st.data())
+    def test_components_and_balls_keep_the_bfs_order(self, g, data):
+        v = data.draw(st.integers(0, g.vertex_count - 1))
+        k = data.draw(st.integers(0, 4))
+        comp = component_of(g, v)
+        assert list(comp.origin) == _reference_bfs(g, [v], g.vertex_count)[0]
+        assert all(type(u) is int for u in comp.origin)
+        assert list(ball(comp, k).origin) == _reference_bfs(comp.graph, [0], k)[0]
 
     @settings(max_examples=100)
     @given(st.lists(generated_graphs(), max_size=4))
@@ -575,30 +607,40 @@ class TestCsrStorage:
 
 
 class TestLevels:
-    """``graphs._levels``, the capped multi-source BFS, against ``distances_to``."""
+    """``graphs._levels``, the one BFS, against the loop references ``_reference_bfs``
+    (visit order and level ends) and ``_reference_distances``."""
 
     @settings(max_examples=150)
     @given(generated_graphs(), st.data())
     def test_matches_capped_distances(self, g, data):
         n = g.vertex_count
-        depth = data.draw(st.integers(0, 5))
+        depth = data.draw(st.none() | st.integers(0, 5))
         # a prefix 0..s-1 takes the id-range path, as forest roots do; a list may repeat and be unsorted
         if data.draw(st.booleans()):
-            sources = np.arange(data.draw(st.integers(1, n)))
+            sources = list(range(data.draw(st.integers(1, n))))
         else:
-            sources = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)))
-        want = np.minimum(distances_to(g, sources), depth + 1)
-        assert np.array_equal(graphs._levels(g, sources, depth), want)
+            sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+        order, ends = graphs._levels(g, np.array(sources), depth)
+        assert order.tolist() == _reference_bfs(g, sources, n if depth is None else depth)[0]
+        dist = _reference_distances(g, sources)
+        last = max(d for d in dist if d < n) if depth is None else depth  # None walks to the last level
+        assert ends == [sum(d <= j for d in dist) for j in range(last + 1)]
 
     def test_range_path_falls_back_to_index_arrays(self):
         # 0 - 2 - 1: the range after level {0} would be {1}, whose smallest neighbour is not below it
         g = Graph.from_edges(4, [(0, 2), (2, 1), (1, 3)])
-        assert graphs._levels(g, np.array([0]), 3).tolist() == [0, 2, 1, 3]
-        assert graphs._levels(g, np.array([0]), 1).tolist() == [0, 2, 1, 2]
+        order, ends = graphs._levels(g, np.array([0]), 3)
+        assert order.tolist() == [0, 2, 1, 3] and ends == [1, 2, 3, 4]
+        order, ends = graphs._levels(g, np.array([0]), 1)
+        assert order.tolist() == [0, 2] and ends == [1, 2]
+        # 0 - 3, 1 - 2: the level after {0, 1} is the range {2, 3}, but row 0 meets 3 first
+        order, ends = graphs._levels(Graph.from_edges(4, [(0, 3), (1, 2)]), np.arange(2), 2)
+        assert order.tolist() == [0, 1, 3, 2] and ends == [2, 4, 4]
 
     def test_forest_levels_are_generations(self):
         rho = trees.poisson_dist(2.0)
         f = trees.sample_forest(rho, trees.size_biased(rho), 4, 50, 3)
-        dist = graphs._levels(f.graph, f.roots, 4)
-        assert np.array_equal(dist, distances_to(f.graph, f.roots))
-        assert np.all(np.diff(dist) >= 0)  # numbered generation by generation
+        order, ends = graphs._levels(f.graph, f.roots, 4)
+        # numbered generation by generation, each in its parents' order: the visit order is 0..n-1
+        assert np.array_equal(order, np.arange(f.graph.vertex_count))
+        assert (order.tolist(), ends) == _reference_bfs(f.graph, f.roots.tolist(), 4)

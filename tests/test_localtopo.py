@@ -488,7 +488,7 @@ class TestRadiusCheck:
             localtopo.two_root_independence_gap(lambda s: g, r, 5, 0)
 
     def test_fractional_or_outside_vertex_raises(self):
-        # _bfs cast the start with int(), so 0.5 coded vertex 0's ball, and -1 coded a lone vertex
+        # the ball walk cast the start with int(), so 0.5 coded vertex 0's ball, and -1 coded a lone vertex
         g = path_graph(3)
         with pytest.raises(ValueError, match="vertex must be given as integers"):
             localtopo._ball_code_from(g, 0.5, 1)

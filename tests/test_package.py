@@ -33,7 +33,6 @@ UNUSED_AT_IMPORT = ("scipy.optimize", "scipy.special", "scipy.sparse.csgraph", "
 # one call of each function that imports one of them; run cold and in the test process
 LAZY_CALLS = """
 import numpy as np
-from sparsedyn.dynamics import distances_to
 from sparsedyn.empirical import EmpiricalMeasure, wasserstein1_paths
 from sparsedyn.graphs import Graph, MarkedGraph, component_labels, gen_regular_tree
 from sparsedyn.localtopo import d_star_marked
@@ -44,8 +43,7 @@ g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
 a, b = (EmpiricalMeasure(gen.normal(0.0, 1.0, (40, 4)), np.arange(4.0)) for _ in range(2))
 tree = gen_regular_tree(3, 2)
 x, y = (MarkedGraph(tree, gen.uniform(0.0, 1.0, tree.vertex_count)) for _ in range(2))
-values = [poisson_dual(2.0), wasserstein1_paths(a, b, 3.0), component_labels(g).tolist(),
-          distances_to(g, [0]).tolist(), d_star_marked(x, y, 2)]
+values = [poisson_dual(2.0), wasserstein1_paths(a, b, 3.0), component_labels(g).tolist(), d_star_marked(x, y, 2)]
 """
 
 
@@ -128,3 +126,22 @@ def test_cold_import_loads_only_the_scipy_it_runs():
     here: dict = {}
     exec(LAZY_CALLS, here)
     assert out[2] == repr(here["values"])
+
+
+def test_walks_leave_csgraph_unloaded():
+    # every BFS is graphs._levels in numpy; only component_labels calls scipy.sparse.csgraph
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from sparsedyn.dynamics import distances_to, replica_paths_discrete, voter_model\n"
+        "from sparsedyn.graphs import ball, component_of, gen_random_regular\n"
+        "g = gen_random_regular(200, 3, 5)\n"
+        "distances_to(g, [0, 7])\n"
+        "ball(component_of(g, 3), 2)\n"
+        "replica_paths_discrete(g, np.arange(200) % 2, voter_model(), 3, 1, 2, [4])\n"
+        "print('scipy.sparse.csgraph' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         timeout=60, check=True).stdout
+    assert out == "False\n"
