@@ -19,6 +19,7 @@ from .dynamics import DiffusionModel, TrajectorySet, _dispatch, simulate
 # not called here: kept bound because the benchmark's tracer patches these names
 from .dynamics import simulate_diffusion, simulate_discrete  # noqa: F401
 from .graphs import Graph, RootedGraph, _check_indices, _check_whole, _disjoint_union, component_labels
+from .localtopo import _row_classes, frequency_tv
 from .trees import DegreeDist, Forest, sample_forest
 
 __all__ = [
@@ -109,27 +110,6 @@ def trajectory_frequencies(m: EmpiricalMeasure, weights=None) -> dict[bytes, flo
     if weights is None:
         counts = counts / len(arr)
     return dict(zip((row.tobytes() for row in arr[first]), counts.tolist()))
-
-
-def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Classes of the equal rows of a 2-D integer array, numbered in the rows'
-    lexicographic order: each row's class, and the first row of each class."""
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    classes = np.empty(len(rows), dtype=np.int64)
-    classes[order] = np.cumsum(new) - 1
-    return classes, order[new]
-
-
-def frequency_tv(fa: dict, fb: dict) -> float:
-    """Total variation between two frequency dicts over the union of their keys.
-
-    ``math.fsum`` rounds the sum exactly once, so the value does not depend on
-    the (hash-seeded) key order and is exactly symmetric.
-    """
-    return 0.5 * math.fsum(abs(fa.get(c, 0.0) - fb.get(c, 0.0)) for c in fa.keys() | fb.keys())
 
 
 def mix_frequencies(parts) -> dict[bytes, float]:

@@ -2,13 +2,15 @@
 
 Built-in models use a finite mark alphabet, which keeps exact enumeration
 available as an oracle for the MCMC sampler.  The i.i.d. case is the
-interaction-free special case (psi identically 1).
+interaction-free special case (psi identically 1).  An exact law is one flat
+probability vector, built in at most 12 bytes per state under one cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,7 +18,6 @@ from . import rng
 from .graphs import Graph, _check_indices, _check_whole, _rows
 
 EXACT_STATE_CAP = 10**7
-KERNEL_STATE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -102,39 +103,38 @@ def unnormalized_weight(g: Graph, spec: GibbsSpec, c) -> float:
 
 @dataclass(frozen=True)
 class ExactGibbs:
-    """Full finite-graph distribution: every configuration with its probability."""
+    """Full finite-graph distribution: one probability per configuration, the
+    configurations listed lexicographically with vertex 0 most significant."""
 
-    configurations: np.ndarray  # (count, n) symbol indices
-    probabilities: np.ndarray
+    probabilities: np.ndarray  # (alphabet_size ** vertex_count,)
     log_z: float
     alphabet_size: int
+    vertex_count: int
+
+    @cached_property
+    def configurations(self) -> np.ndarray:
+        """(count, n) int16 symbol indices, row i the configuration of ``probabilities[i]``."""
+        a, n = self.alphabet_size, self.vertex_count
+        out = np.empty((a**n, n), dtype=np.int16)
+        for i in range(n):  # column i through a view whose axis 1 is vertex i's symbol
+            out.reshape(a**i, a, -1, n)[:, :, :, i] = np.arange(a)[:, None]
+        return out
 
     def probability_of(self, c) -> float:
-        arr = _config_array(c, self.configurations.shape[1])
+        arr = _config_array(c, self.vertex_count)
         if np.any((arr < 0) | (arr >= self.alphabet_size)):
             return 0.0
         return float(self.probabilities[self.index_of(arr)])
 
     def index_of(self, c) -> int:
-        """Row of ``c`` in ``configurations``, which enumerate lexicographically."""
-        arr = _config_array(c, self.configurations.shape[1], self.alphabet_size)
+        """Row of ``c`` in ``configurations``."""
+        arr = _config_array(c, self.vertex_count, self.alphabet_size)
         powers = self.alphabet_size ** np.arange(len(arr) - 1, -1, -1)
         return int(np.dot(arr, powers))
 
     def marginal(self, v: int) -> np.ndarray:
-        out = np.zeros(self.alphabet_size)
-        column = self.configurations[:, _check_indices(v, self.configurations.shape[1], "vertex")]
-        np.add.at(out, column.astype(np.int64), self.probabilities)
-        return out
-
-
-def _all_configs(count: int, n: int, a: int) -> np.ndarray:
-    """(count, n) array enumerating alphabet^n in lexicographic order."""
-    configs = np.empty((count, max(n, 1)), dtype=np.int16)
-    base = np.arange(count, dtype=np.int64)
-    for i in range(n):
-        configs[:, i] = (base // a ** (n - 1 - i)) % a
-    return configs[:, :n]
+        v = int(_check_indices(v, self.vertex_count, "vertex"))
+        return self.probabilities.reshape(self.alphabet_size**v, self.alphabet_size, -1).sum(axis=(0, 2))
 
 
 def _enumerate(g: Graph, spec: GibbsSpec, region: np.ndarray, boundary: dict[int, int]) -> ExactGibbs:
@@ -142,10 +142,14 @@ def _enumerate(g: Graph, spec: GibbsSpec, region: np.ndarray, boundary: dict[int
     of its outside neighbors: psi over edges inside the region and from it to
     the boundary, lambda over region vertices, normalized in log space.
 
+    Each factor is added to the flat log-weight vector through a view with one
+    axis per vertex it reads: no configuration array, no view above five axes.
     Edges are added row by row in region order, inner edges first."""
-    a = spec.size
+    a, n = spec.size, len(region)
+    if a**n > EXACT_STATE_CAP:
+        raise ValueError(f"state space of size {a**n} exceeds the cap {EXACT_STATE_CAP}")
     local = np.full(g.vertex_count, -1, dtype=np.int64)
-    local[region] = np.arange(len(region))
+    local[region] = np.arange(n)
     row, nbr = _rows(g, region)
     col = local[nbr]
     inner = (col >= 0) & (region[row] < nbr)
@@ -153,25 +157,26 @@ def _enumerate(g: Graph, spec: GibbsSpec, region: np.ndarray, boundary: dict[int
     with np.errstate(divide="ignore"):
         log_lam = np.log(spec.lam)
         log_psi = np.log(spec.psi)
-    configs = _all_configs(a ** len(region), len(region), a)
-    logs = log_lam[configs].sum(axis=1)
+    logs = np.zeros(1)
+    for _ in range(n):
+        logs = np.add.outer(logs, log_lam).ravel()
     for i, j in zip(row[inner].tolist(), col[inner].tolist()):
-        logs = logs + log_psi[configs[:, i], configs[:, j]]
+        view = logs.reshape(a ** min(i, j), a, a ** (abs(i - j) - 1), a, -1)
+        view += (log_psi if i < j else log_psi.T)[:, None, :, None]
     for i, u in zip(row[outer].tolist(), nbr[outer].tolist()):
-        logs = logs + log_psi[configs[:, i], boundary[u]]
+        view = logs.reshape(a**i, a, -1)
+        view += log_psi[:, boundary[u], None]
     peak = logs.max()
     if peak == -np.inf:
         raise ValueError("zero mass: no configuration has positive weight")
-    weights = np.exp(logs - peak)
-    z = float(weights.sum())
-    return ExactGibbs(configs, weights / z, math.log(z) + float(peak), a)
+    logs -= peak
+    z = float(np.exp(logs, out=logs).sum())
+    logs /= z
+    return ExactGibbs(logs, math.log(z) + float(peak), a, n)
 
 
 def exact_gibbs(g: Graph, spec: GibbsSpec) -> ExactGibbs:
     """Enumerate all |alphabet|^n configurations and normalize."""
-    count = spec.size**g.vertex_count
-    if count > EXACT_STATE_CAP:
-        raise ValueError(f"state space of size {count} exceeds the cap {EXACT_STATE_CAP}")
     return _enumerate(g, spec, np.arange(g.vertex_count), {})
 
 
@@ -196,9 +201,6 @@ def conditional_kernel(g: Graph, spec: GibbsSpec, region, boundary: dict[int, in
     if set(boundary) != set(need):
         raise ValueError(f"boundary must cover exactly {need}")
     _check_indices(list(boundary.values()), spec.size, "boundary symbols")
-    count = spec.size ** len(region)
-    if count > KERNEL_STATE_CAP:
-        raise ValueError(f"conditional state space {count} exceeds the cap {KERNEL_STATE_CAP}")
     return _enumerate(g, spec, region, boundary)
 
 
@@ -263,8 +265,5 @@ def glauber_marginals(
 ) -> np.ndarray:
     """Per-site symbol frequencies along a Glauber chain (n, alphabet)."""
     trace = glauber_trace(g, spec, sweeps, burn_in, seed)
-    n = g.vertex_count
-    out = np.zeros((n, spec.size))
-    for v in range(n):
-        out[v] = np.bincount(trace[:, v], minlength=spec.size)
-    return out / len(trace)
+    n, a = g.vertex_count, spec.size
+    return np.bincount((np.arange(n) * a + trace).ravel(), minlength=n * a).reshape(n, a) / len(trace)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from math import floor, log, log1p
+from math import log, log1p
 
 import numpy as np
 
@@ -352,22 +352,22 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     if p == 1.0:
         return _from_edge_arrays(n, np.stack(np.triu_indices(n, 1), axis=1))
     gen = rng.generator(seed, 0x4552)
-    # skip-sampling over the lexicographic pair order: geometric gaps between edges
-    edges = []
-    # below p ~ 1e-16, 1 - p rounds to 1 and log would give 0
+    # skip-sampling over the pairs w < v by v, then w, pair v(v-1)/2 + w: geometric
+    # gaps between edges; below p ~ 1e-16, 1 - p rounds to 1 and log would give 0
     lq = log(1.0 - p) if 1.0 - p < 1.0 else log1p(-p)
-    v, w = 1, -1
-    while v < n:
-        gap = log(1.0 - gen.random()) / lq
-        if gap >= n * n:
-            break  # past the last pair (gap may be inf for subnormal p)
-        w += 1 + int(floor(gap))
-        while w >= v and v < n:
-            w -= v
-            v += 1
-        if v < n:
-            edges.append((w, v))
-    return _from_edge_arrays(n, edges)
+    pairs, last, found = n * (n - 1) // 2, -1.0, []
+    with np.errstate(over="ignore"):  # a gap may be inf for subnormal p
+        while last < pairs:
+            # math.log, as np.log may round otherwise; a capped gap >= n * n stays past
+            # the last pair, and the float sums are exact integers up to the first past it
+            draws = gen.random(min(int(1.1 * p * pairs) + 64, 1 << 20))
+            gaps = np.fromiter(map(log, (1.0 - draws).tolist()), np.float64) / lq
+            ends = last + np.cumsum(np.floor(np.minimum(gaps, n * n)) + 1)
+            found.append(ends[ends < pairs])
+            last = ends[-1]
+    idx = np.concatenate(found).astype(np.int64)
+    v = np.searchsorted(np.arange(n) * np.arange(1, n + 1) // 2, idx, side="right")
+    return _from_edge_arrays(n, np.stack([idx - v * (v - 1) // 2, v], axis=1))
 
 
 def _pair_decode(idx: np.ndarray, n: int) -> np.ndarray:

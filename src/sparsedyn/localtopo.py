@@ -18,6 +18,7 @@ tree test sends tree balls to one bulk message refinement
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .empirical import _row_classes, frequency_tv
 from .graphs import (Graph, MarkedGraph, RootedGraph, _check_indices, _check_whole, _disjoint_union, _induced,
                      _levels, _rows)
 
@@ -277,6 +277,18 @@ class BallHistogram:
         return {c: k / self.total for c, k in self.counts.items()}
 
 
+def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the equal rows of a 2-D integer array, numbered in the rows'
+    lexicographic order: each row's class, and the first row of each class."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    classes = np.empty(len(rows), dtype=np.int64)
+    classes[order] = np.cumsum(new) - 1
+    return classes, order[new]
+
+
 def _unrolled_codes(g: Graph, r: int, roots: np.ndarray) -> list[BallCode]:
     """Per root, the AHU code of its depth-r tree of non-backtracking walks,
     which is its ball's code whenever the ball is a tree.
@@ -401,6 +413,15 @@ def histogram_of_samples(samples, r: int) -> BallHistogram:
     samples = list(samples)
     union, first = _disjoint_union([rg.graph for rg in samples])
     return _histogram(_root_codes(union, first + [rg.root for rg in samples], r), r)
+
+
+def frequency_tv(fa: dict, fb: dict) -> float:
+    """Total variation between two frequency dicts over the union of their keys.
+
+    ``math.fsum`` rounds the sum exactly once, so the value does not depend on
+    the (hash-seeded) key order and is exactly symmetric.
+    """
+    return 0.5 * math.fsum(abs(fa.get(c, 0.0) - fb.get(c, 0.0)) for c in fa.keys() | fb.keys())
 
 
 def histogram_tv(a: BallHistogram, b: BallHistogram) -> float:

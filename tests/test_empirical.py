@@ -251,6 +251,14 @@ class TestWasserstein:
             b = EmpiricalMeasure(base + delta, times)
             assert abs(wasserstein1_paths(a, b, t=1.0, seed=1) - delta) < 1e-9
 
+    @pytest.mark.parametrize("rows_a, rows_b", [(300, 500), (100, 400)])
+    def test_unequal_counts_draw_their_own_subsample(self, rows_a, rows_b):
+        # 300 and 500 paths are both cut to W1_MAX_SAMPLES; 100 against 400 cuts only the larger
+        times = np.linspace(0, 1, 3)
+        a = EmpiricalMeasure(np.zeros((rows_a, 3)), times)
+        b = EmpiricalMeasure(np.full((rows_b, 3), 0.7), times)
+        assert abs(wasserstein1_paths(a, b, t=1.0, seed=3) - 0.7) < 1e-12
+
     def test_triangle_inequality(self):
         gen = np.random.default_rng(4)
         times = np.linspace(0, 1, 4)

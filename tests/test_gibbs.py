@@ -1,9 +1,12 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sparsedyn.gibbs import (
+    EXACT_STATE_CAP,
     GibbsSpec,
     boundary_of,
     conditional_kernel,
@@ -23,6 +26,17 @@ PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
 def product_spec(lam):
     return GibbsSpec.independent(lam)
+
+
+def small_case(which):
+    """The cases of test_full_region_equals_exact_bitwise: an Ising triangle, or
+    a 3-symbol model with a random symmetric psi on a 9-vertex ER graph."""
+    if which == "ising_triangle":
+        return Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), GibbsSpec.ising(0.3)
+    gen = np.random.default_rng(5)
+    psi = gen.random((3, 3))
+    lam = gen.random(3)
+    return gen_erdos_renyi(9, 0.35, 4), GibbsSpec((0, 1, 2), psi + psi.T, lam / lam.sum())
 
 
 class TestWeights:
@@ -79,6 +93,44 @@ class TestExactGibbs:
         dist = exact_gibbs(PATH3, GibbsSpec.ising(0.3, field_plus=0.6))
         assert abs(float(dist.probabilities.sum()) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("which", ["ising_triangle", "potts_er9"])
+    def test_probabilities_match_the_weight_of_each_configuration(self, which):
+        # log_unnormalized_weight scores one configuration by its edge list, not
+        # through the enumerator's flat vector
+        g, spec = small_case(which)
+        dist = exact_gibbs(g, spec)
+        expect = [math.exp(log_unnormalized_weight(g, spec, c) - dist.log_z) for c in dist.configurations]
+        assert np.allclose(dist.probabilities, expect, rtol=1e-12, atol=0.0)
+        for v in range(g.vertex_count):
+            column = dist.configurations[:, v]
+            sums = [math.fsum(dist.probabilities[column == s]) for s in range(spec.size)]
+            assert np.allclose(dist.marginal(v), sums, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n, a", [(0, 2), (1, 3), (4, 1), (3, 3), (5, 2)])
+    def test_configurations_enumerate_lexicographically(self, n, a):
+        g = Graph.from_edges(n + 1, [(i, i + 1) for i in range(n)])
+        spec = GibbsSpec.independent(np.full(a, 1.0 / a))
+        # the region leaves vertex n out, so n = 0 is the empty configuration
+        ker = conditional_kernel(g, spec, range(n), {n: 0} if n else {})
+        expect = np.array(list(itertools.product(range(a), repeat=n)), dtype=np.int16).reshape(a**n, n)
+        assert ker.configurations.dtype == np.int16 and ker.configurations.shape == (a**n, n)
+        assert np.array_equal(ker.configurations, expect)
+        assert all(ker.index_of(c) == i for i, c in enumerate(ker.configurations))
+        assert np.allclose(ker.probabilities, a**-n, rtol=1e-12, atol=0.0)
+
+    def test_enumeration_memory_is_a_few_bytes_per_state(self):
+        # the (states x n) configuration and log-factor matrices it used to
+        # build peaked at 208 bytes per state on this graph
+        g = gen_erdos_renyi(20, 0.15, 2)
+        spec = GibbsSpec.ising(0.4, field_plus=0.6)
+        tracemalloc.start()
+        try:
+            exact_gibbs(g, spec).marginal(7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
 
 class TestConditionalKernel:
     def test_isolated_vertex_is_lambda(self):
@@ -98,6 +150,29 @@ class TestConditionalKernel:
         ker = conditional_kernel(EDGE, GibbsSpec.ising(beta), [0], {1: 1})
         expect = math.exp(beta) / (math.exp(beta) + math.exp(-beta))
         assert abs(ker.probabilities[1] - expect) < 1e-12
+
+    def test_unsorted_region_reads_inner_psi_in_graph_orientation(self):
+        # psi need only be symmetric to 1e-5, so an edge inside the region must
+        # read psi[x_u, x_v] with u < v in the graph, as log_unnormalized_weight does
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4)])
+        spec = GibbsSpec((0, 1), np.array([[1.3, 0.7 * (1 + 1e-8)], [0.7, 1.1]]), np.array([0.4, 0.6]))
+        region = [4, 0, 3, 5, 1, 2]
+        ker = conditional_kernel(g, spec, region, {})
+        full = np.zeros(6, dtype=np.int64)
+        logs = []
+        for row in ker.configurations:
+            full[region] = row
+            logs.append(log_unnormalized_weight(g, spec, full))
+        expect = np.exp(np.array(logs) - max(logs))
+        assert np.allclose(ker.probabilities, expect / expect.sum(), rtol=1e-12, atol=0.0)
+
+    def test_state_cap_names_the_cap(self):
+        # a 24-vertex region has 2^24 states: the raise comes before any enumeration
+        g = gen_lattice_box(2, 2).graph
+        region = range(24)
+        boundary = {u: 0 for u in boundary_of(g, region)}
+        with pytest.raises(ValueError, match=f"exceeds the cap {EXACT_STATE_CAP}"):
+            conditional_kernel(g, GibbsSpec.ising(0.1), region, boundary)
 
     def test_boundary_must_match(self):
         with pytest.raises(ValueError):
@@ -242,6 +317,14 @@ class TestGlauber:
         exact = np.array([dist.marginal(v)[1] for v in range(4)])
         marg = glauber_marginals(g, spec, sweeps=30_000, burn_in=300, seed=11)
         assert np.max(np.abs(marg[:, 1] - exact)) < 0.02
+
+    def test_marginals_are_the_per_vertex_counts_of_the_trace(self):
+        g = gen_erdos_renyi(7, 0.4, 1)
+        psi = np.array([[2.0, 1.0, 0.5], [1.0, 1.5, 1.0], [0.5, 1.0, 1.0]])
+        spec = GibbsSpec((0, 1, 2), psi, np.array([0.2, 0.3, 0.5]))
+        trace = glauber_trace(g, spec, sweeps=40, burn_in=3, seed=2)
+        expect = np.array([np.bincount(trace[:, v], minlength=3) for v in range(7)]) / len(trace)
+        assert np.array_equal(glauber_marginals(g, spec, sweeps=40, burn_in=3, seed=2), expect)
 
     def test_sample_deterministic(self):
         g = PATH3

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsedyn import graphs, trees
+from sparsedyn import graphs, rng, trees
 from sparsedyn.dynamics import distances_to
 from sparsedyn.graphs import (
     Graph,
@@ -40,6 +40,30 @@ def poisson_pmf(k, lam):
     return math.exp(-lam) * lam**k / math.factorial(k)
 
 
+def _reference_erdos_renyi(n, p, seed):
+    """The scalar skip-sampling loop gen_erdos_renyi replaced: one draw and one
+    math.log per edge, walking (w, v) over the pairs w < v by v, then w."""
+    if p == 0.0 or n == 1:
+        return []
+    if p == 1.0:
+        return [(w, v) for v in range(n) for w in range(v)]
+    gen = rng.generator(seed, 0x4552)
+    edges = []
+    lq = math.log(1.0 - p) if 1.0 - p < 1.0 else math.log1p(-p)
+    v, w = 1, -1
+    while v < n:
+        gap = math.log(1.0 - gen.random()) / lq
+        if gap >= n * n:
+            break
+        w += 1 + int(math.floor(gap))
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            edges.append((w, v))
+    return edges
+
+
 class TestErdosRenyi:
     def test_p_one_complete(self):
         g = gen_erdos_renyi(4, 1.0, seed=1)
@@ -60,6 +84,13 @@ class TestErdosRenyi:
             g = gen_erdos_renyi(n, 2.0 / n, seed=seed)
             fracs.append(largest_component(g).vertex_count / n)
         assert abs(np.mean(fracs) - s) < 0.03
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 400), st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-3), st.floats(0.0, 1e-300)),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_scalar_loop(self, n, p, seed):
+        g, ref = gen_erdos_renyi(n, p, seed), Graph.from_edges(n, _reference_erdos_renyi(n, p, seed))
+        assert np.array_equal(g.indptr, ref.indptr) and np.array_equal(g.indices, ref.indices)
 
     def test_determinism(self):
         a = gen_erdos_renyi(200, 0.02, seed=7)

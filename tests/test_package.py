@@ -145,3 +145,17 @@ def test_walks_leave_csgraph_unloaded():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
                          timeout=60, check=True).stdout
     assert out == "False\n"
+
+
+def test_localtopo_and_gibbs_leave_sparse_and_dynamics_unloaded():
+    # localtopo used to take _row_classes and frequency_tv from empirical, which loads dynamics
+    script = (
+        "import sys\n"
+        "import sparsedyn.gibbs, sparsedyn.localtopo\n"
+        "watched = ('scipy.sparse', 'sparsedyn.dynamics', 'sparsedyn.empirical')\n"
+        "print(sorted(m for m in watched if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         timeout=60, check=True).stdout
+    assert out == "[]\n"

@@ -399,6 +399,14 @@ class TestPoissonDist:
         ]
         assert poisson_dist(2.0).probabilities.tolist() == expected
 
+    @pytest.mark.parametrize("th", [700.0, 709.0, 1000.0])
+    def test_log_space_terms_keep_the_moments(self, th):
+        # from theta about 708 on, exp(-theta) is subnormal and every term is taken in log space
+        rho = poisson_dist(th)
+        assert abs(float(rho.probabilities.sum()) - 1.0) < 1e-12
+        assert rho.mean() == pytest.approx(th, rel=1e-9, abs=0.0)
+        assert rho.second_factorial_moment() / rho.mean() == pytest.approx(th, rel=1e-9, abs=0.0)
+
     def test_large_theta_and_tiny_tolerance_return_promptly(self):
         # exp(-800) underflows to 0, and a tail tolerance below float resolution
         # was never met: both looped forever.  A child process turns a hang
