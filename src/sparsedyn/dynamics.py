@@ -644,6 +644,8 @@ def covariance_decay_profile(
     bounded real.  The normal-approximation CI half-width uses ``ci_z``.
     """
     replicas = _check_whole(replicas, "replicas", 100)
+    if not 0 <= ci_z < math.inf:
+        raise ValueError(f"ci_z must be finite and >= 0, got {ci_z!r}")
     # range-checked by the replica engine, which records these vertices
     needed = np.unique(_check_indices([v for a, b, _ in pairs for v in (*a, *b)]))
     times, _, replica_paths, _ = _dispatch(model, horizon, dt)

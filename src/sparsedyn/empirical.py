@@ -18,7 +18,7 @@ from .dynamics import DiffusionModel, TrajectorySet, _dispatch, simulate
 
 # not called here: kept bound because the benchmark's tracer patches these names
 from .dynamics import simulate_diffusion, simulate_discrete  # noqa: F401
-from .graphs import Graph, RootedGraph, _check_indices, _check_whole, _disjoint_union, component_labels
+from .graphs import Graph, RootedGraph, _check_indices, _check_weights, _check_whole, _disjoint_union, component_labels
 from .localtopo import _row_classes, frequency_tv
 from .trees import DegreeDist, Forest, sample_forest
 
@@ -98,12 +98,7 @@ def trajectory_frequencies(m: EmpiricalMeasure, weights=None) -> dict[bytes, flo
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (m.count,):
             raise ValueError(f"weights must have shape ({m.count},), got {weights.shape}")
-        if not np.all(np.isfinite(weights)) or weights.min() < 0:
-            raise ValueError("weights must be finite and >= 0")
-        total = float(weights.sum())
-        if total <= 0:
-            raise ValueError("weights must have a positive sum")
-        weights = weights / total
+        weights = weights / float(_check_weights(weights, "weights").sum())
     # bincount adds each class's weights in sample order, as a running sum would
     classes, first = _row_classes(arr)
     counts = np.bincount(classes, weights)
@@ -116,11 +111,8 @@ def mix_frequencies(parts) -> dict[bytes, float]:
     """Convex combination of frequency dicts given (weight, freqs) pairs; the
     weights must be finite and >= 0 with a positive sum."""
     weights = [w for w, _ in parts]
-    if not all(math.isfinite(w) and w >= 0 for w in weights):
-        raise ValueError("weights must be finite and >= 0")
+    _check_weights(weights, "weights")
     total = sum(weights)
-    if total <= 0:
-        raise ValueError("weights must have a positive sum")
     out: dict[bytes, float] = {}
     for w, freqs in parts:
         for key, p in freqs.items():

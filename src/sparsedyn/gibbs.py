@@ -4,6 +4,7 @@ Built-in models use a finite mark alphabet, which keeps exact enumeration
 available as an oracle for the MCMC sampler.  The i.i.d. case is the
 interaction-free special case (psi identically 1).  An exact law is one flat
 probability vector, built in at most 12 bytes per state under one cap.
+Lambda is checked and drawn as a ``trees.DegreeDist``; psi is stored symmetric.
 """
 
 from __future__ import annotations
@@ -16,13 +17,19 @@ import numpy as np
 
 from . import rng
 from .graphs import Graph, _check_indices, _check_whole, _rows
+from .trees import DegreeDist, _draw_counts
 
 EXACT_STATE_CAP = 10**7
 
 
 @dataclass(frozen=True)
 class GibbsSpec:
-    """Pairwise specification: alphabet, symmetric interaction table, reference law."""
+    """Pairwise specification: alphabet, symmetric interaction table, reference law.
+
+    ``lam`` must be a valid :class:`~sparsedyn.trees.DegreeDist` over the alphabet.
+    ``psi``, finite, >= 0 and symmetric to ``np.allclose``, is stored as
+    ``(psi + psi.T) / 2``, which is exact for a symmetric input.
+    """
 
     alphabet: tuple
     psi: np.ndarray
@@ -30,19 +37,17 @@ class GibbsSpec:
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=np.float64)
-        lam = np.asarray(self.lam, dtype=np.float64)
-        object.__setattr__(self, "psi", psi)
+        lam = DegreeDist(self.lam).probabilities
         object.__setattr__(self, "lam", lam)
         a = len(self.alphabet)
         if psi.shape != (a, a):
             raise ValueError("psi must be square over the alphabet")
-        if not np.allclose(psi, psi.T):
-            raise ValueError("psi must be symmetric")
-        if psi.min() < 0:
-            raise ValueError("psi must be nonnegative")
+        if not (np.isfinite(psi).all() and psi.min() >= 0 and np.allclose(psi, psi.T)):
+            raise ValueError("psi must be finite, nonnegative and symmetric")
+        object.__setattr__(self, "psi", (psi + psi.T) / 2)
         if np.any(psi.max(axis=1) <= 0):
             raise ValueError("psi needs a strictly positive entry in every row")
-        if lam.shape != (a,) or lam.min() < 0 or abs(float(lam.sum()) - 1.0) > 1e-9:
+        if lam.shape != (a,):
             raise ValueError("lam must be a probability vector over the alphabet")
 
     @property
@@ -62,7 +67,6 @@ class GibbsSpec:
 
     @staticmethod
     def independent(lam) -> "GibbsSpec":
-        lam = np.asarray(lam, dtype=np.float64)
         a = len(lam)
         return GibbsSpec(tuple(range(a)), np.ones((a, a)), lam)
 
@@ -162,7 +166,7 @@ def _enumerate(g: Graph, spec: GibbsSpec, region: np.ndarray, boundary: dict[int
         logs = np.add.outer(logs, log_lam).ravel()
     for i, j in zip(row[inner].tolist(), col[inner].tolist()):
         view = logs.reshape(a ** min(i, j), a, a ** (abs(i - j) - 1), a, -1)
-        view += (log_psi if i < j else log_psi.T)[:, None, :, None]
+        view += log_psi[:, None, :, None]
     for i, u in zip(row[outer].tolist(), nbr[outer].tolist()):
         view = logs.reshape(a**i, a, -1)
         view += log_psi[:, boundary[u], None]
@@ -205,10 +209,8 @@ def conditional_kernel(g: Graph, spec: GibbsSpec, region, boundary: dict[int, in
 
 
 def iid_sample(g: Graph, lam, seed: int) -> np.ndarray:
-    """Each vertex drawn independently from the reference law."""
-    lam = np.asarray(lam, dtype=np.float64)
-    gen = rng.generator(seed, 0x4949)
-    return np.searchsorted(np.cumsum(lam), gen.random(g.vertex_count), side="right").astype(np.int64)
+    """Each vertex drawn independently from ``lam``, a valid :class:`~sparsedyn.trees.DegreeDist`."""
+    return _draw_counts(DegreeDist(lam), rng.generator(seed, 0x4949), g.vertex_count)
 
 
 def glauber_sample(
@@ -232,26 +234,26 @@ def glauber_trace(
     record_every: int = 1,
 ) -> np.ndarray:
     """Run one Glauber chain, recording configurations every ``record_every`` sweeps
-    after burn-in (``record_every=0`` keeps only the final state)."""
+    after burn-in (``record_every=0`` keeps only the final state).  A site
+    update with no symbol of positive weight (an i.i.d. start can be infeasible
+    under zeros in psi) raises ``ValueError`` naming the vertex and the sweep."""
     sweeps, burn_in = _check_whole(sweeps, "sweeps", 1), _check_whole(burn_in, "burn_in")
     record_every = _check_whole(record_every, "record_every")
     n = g.vertex_count
     gen = rng.generator(seed, 0x474C)
-    lam_cdf = np.cumsum(spec.lam)
-    state = np.searchsorted(lam_cdf, gen.random(n), side="right").astype(np.int64)
-    adj = np.split(g.indices, g.indptr[1:-1])
-    psi = spec.psi
-    lam = spec.lam
+    state = _draw_counts(DegreeDist(spec.lam), gen, n)
+    psi, lam = spec.psi, spec.lam
     records = []
-    total = burn_in + sweeps
-    for sweep in range(total):
+    for sweep in range(burn_in + sweeps):
         scan = gen.permutation(n)
         u_draws = gen.random(n)
         for idx in range(n):
             v = int(scan[idx])
-            nbrs = adj[v]
+            nbrs = g.indices[g.indptr[v] : g.indptr[v + 1]]
             weights = lam * psi[:, state[nbrs]].prod(axis=1) if nbrs.size else lam
             cdf = np.cumsum(weights)
+            if not cdf[-1] > 0:
+                raise ValueError(f"zero mass at vertex {v} in sweep {sweep}: no symbol has positive weight")
             state[v] = np.searchsorted(cdf, u_draws[idx] * cdf[-1], side="right")
         if sweep >= burn_in and record_every and (sweep - burn_in) % record_every == 0:
             records.append(state.copy())

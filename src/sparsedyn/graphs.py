@@ -7,7 +7,8 @@ arrays with numpy; the tuple-of-tuples ``adjacency`` is a view derived on
 first use.  Instances are immutable after construction and safe to share
 across threads.  Generators are deterministic functions of their arguments
 and the seed, and refuse to build more than ``SIZE_CAP`` vertices.
-Counts go through ``_check_whole`` and index arrays through ``_check_indices``.
+Counts go through ``_check_whole``, index arrays through ``_check_indices`` and
+weight vectors through ``_check_weights``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,18 @@ def _check_indices(values, n: int | None = None, name: str = "vertex index") -> 
     arr = arr.astype(np.int64, copy=False)
     if n is not None and arr.size and (arr.min() < 0 or arr.max() >= n):
         raise ValueError(f"{name} out of range [0, {n})")
+    return arr
+
+
+def _check_weights(values, name: str) -> np.ndarray:
+    """``values`` as a nonempty float64 vector of finite weights >= 0 with a positive sum."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or not arr.size:
+        raise ValueError(f"{name} must be a nonempty vector")
+    if not (np.isfinite(arr).all() and arr.min() >= 0):
+        raise ValueError(f"{name} must be finite and >= 0")
+    if not arr.sum() > 0:
+        raise ValueError(f"{name} must have a positive sum")
     return arr
 
 

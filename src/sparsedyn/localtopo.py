@@ -493,6 +493,6 @@ def bounded_lipschitz_gap(xs, ys) -> float:
     """
     xa = np.asarray(xs, dtype=np.float64).ravel()
     ya = np.asarray(ys, dtype=np.float64).ravel()
-    if not xa.size or not ya.size:
-        raise ValueError("bounded_lipschitz_gap needs two nonempty samples")
+    if not (xa.size and ya.size and np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise ValueError("bounded_lipschitz_gap needs two nonempty samples of finite values")
     return max(abs(float(np.mean(f(xa))) - float(np.mean(f(ya)))) for f in _LIPSCHITZ_BATTERY)

@@ -3,6 +3,7 @@
 Degree distributions are finitely supported; laws with infinite support
 (Poisson) are truncated at negligible tail mass and renormalized, which keeps
 every downstream sum finite and exact to far below the test tolerances.
+``DegreeDist`` is the one checked categorical law; ``_draw_counts`` is its draw.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .graphs import Graph, RootedGraph, _check_whole, _from_csr, _rooted
+from .graphs import Graph, RootedGraph, _check_weights, _check_whole, _from_csr, _rooted
 
 DEFAULT_VERTEX_BUDGET = 200_000
 
@@ -25,23 +26,17 @@ DEFAULT_VERTEX_BUDGET = 200_000
 class DegreeDist:
     """Probability law on {0, 1, ..., k_max} stored densely.
 
-    The law is validated once, on construction.  Its CDF and its UGW child
-    law are computed on first use and kept, so a sampler that draws one tree
-    at a time does not rebuild them per draw.
+    The law, finite entries >= 0 summing to 1 within max(tail_tolerance, 1e-9),
+    is validated once.  Its CDF and UGW child law are computed on first use and
+    kept, so a sampler that draws one tree at a time does not rebuild them.
     """
 
     probabilities: np.ndarray
     tail_tolerance: float = 1e-12
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=np.float64)
+        p = _check_weights(self.probabilities, "probabilities")
         object.__setattr__(self, "probabilities", p)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probabilities must be a nonempty vector")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
-        if p.min() < -self.tail_tolerance:
-            raise ValueError("negative probability")
         if abs(float(p.sum()) - 1.0) > max(self.tail_tolerance, 1e-9):
             raise ValueError("probabilities must sum to 1 within tail_tolerance")
 
@@ -66,7 +61,10 @@ class DegreeDist:
 
     @cached_property
     def cdf(self) -> np.ndarray:
-        return np.cumsum(self.probabilities)
+        """Running sums clamped at 1 and exactly 1 from the last positive entry on."""
+        cdf = np.minimum(np.cumsum(self.probabilities), 1.0)
+        cdf[np.flatnonzero(self.probabilities)[-1]:] = 1.0
+        return cdf
 
     @cached_property
     def ugw_child(self) -> DegreeDist:
@@ -87,7 +85,7 @@ def degree_dist(spec) -> DegreeDist:
         for k, p in spec.items():
             dense[k] = p
         return DegreeDist(dense)
-    return DegreeDist(np.asarray(spec, dtype=np.float64))
+    return DegreeDist(spec)
 
 
 POISSON_THETA_MAX = 1e6

@@ -586,6 +586,15 @@ class TestCovarianceProfile:
             )
 
 
+    @pytest.mark.parametrize("ci_z", [-1.96, math.nan, math.inf])
+    def test_bad_ci_z_rejected(self, ci_z):
+        # ci_z = -1.96 returned negative half-widths
+        with pytest.raises(ValueError, match="ci_z"):
+            covariance_decay_profile(
+                K2, np.array([0, 1]), voter_model(), [([0], [1], 1)], lambda p: 0.0, 2, 100, seed=1, ci_z=ci_z
+            )
+
+
 class TestEngineBoundary:
     @pytest.mark.parametrize("horizon, dt", [(1.0, 0.3), (0.25, 0.1)])
     def test_horizon_not_a_multiple_of_dt_raises(self, horizon, dt):

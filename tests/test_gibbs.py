@@ -4,7 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsedyn import rng
 from sparsedyn.gibbs import (
     EXACT_STATE_CAP,
     GibbsSpec,
@@ -159,6 +162,23 @@ class TestConditionalKernel:
         region = [4, 0, 3, 5, 1, 2]
         ker = conditional_kernel(g, spec, region, {})
         full = np.zeros(6, dtype=np.int64)
+        logs = []
+        for row in ker.configurations:
+            full[region] = row
+            logs.append(log_unnormalized_weight(g, spec, full))
+        expect = np.exp(np.array(logs) - max(logs))
+        assert np.allclose(ker.probabilities, expect / expect.sum(), rtol=1e-12, atol=0.0)
+
+    def test_boundary_edges_read_the_table_exact_gibbs_reads(self):
+        # with psi symmetric only to allclose, a boundary edge was read as
+        # psi[x_region, x_boundary] here and as psi[x_u, x_v] with u < v by
+        # log_unnormalized_weight: 6.4e-7 apart in relative terms
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4)])
+        spec = GibbsSpec((0, 1), np.array([[1.3, 0.7 * (1 + 1e-6)], [0.7, 1.1]]), np.array([0.4, 0.6]))
+        region, boundary = [4, 0, 3, 1], {2: 1, 5: 0}
+        ker = conditional_kernel(g, spec, region, boundary)
+        full = np.zeros(6, dtype=np.int64)
+        full[list(boundary)] = list(boundary.values())
         logs = []
         for row in ker.configurations:
             full[region] = row
@@ -333,6 +353,15 @@ class TestGlauber:
         b = glauber_sample(g, spec, sweeps=50, burn_in=10, seed=3)
         assert np.array_equal(a, b)
 
+    def test_infeasible_start_names_the_vertex_and_sweep(self):
+        # seed 1 starts the hard 2-colouring of the path at (0, 0, 1), where
+        # vertex 1 has no feasible symbol: the site update drew symbol 2 and
+        # the next update raised IndexError
+        spec = GibbsSpec((0, 1), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
+        assert np.isfinite(exact_gibbs(PATH3, spec).log_z)
+        with pytest.raises(ValueError, match="zero mass at vertex 1 in sweep 0"):
+            glauber_trace(PATH3, spec, 5, 0, 1)
+
     @pytest.mark.parametrize("run", [glauber_sample, glauber_trace, glauber_marginals])
     def test_zero_sweeps_rejected(self, run):
         # glauber_marginals used to report the burn-in state as its one sample
@@ -359,6 +388,26 @@ class TestIidSample:
         assert abs(float(x.mean()) - 0.5) < 3 * sigma
 
 
+    @pytest.mark.parametrize("lam", [[0.2, 0.2], [-0.5, 1.5]])
+    def test_invalid_laws_rejected(self, lam):
+        # [0.2, 0.2] drew symbol 2 for seven of ten vertices; [-0.5, 1.5] was accepted
+        with pytest.raises(ValueError, match="probabilities"):
+            iid_sample(Graph.from_edges(10, []), lam, 1)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=6).filter(any),
+           st.floats(1.0 - 5e-10, 1.0 + 5e-10), st.integers(0, 2), st.integers(0, 2**32))
+    def test_matches_the_running_sum_draw(self, weights, scale, trailing, seed):
+        # laws with zeros inside and after the support, summing to 1 within 1e-9
+        lam = np.concatenate([np.array(weights) / math.fsum(weights) * scale, np.zeros(trailing)])
+        assert np.array_equal(iid_sample(Graph.from_edges(50, []), lam, seed), _reference_iid_sample(50, lam, seed))
+
+
+def _reference_iid_sample(n, lam, seed):
+    """The draw iid_sample made with its own running sum of lam."""
+    return np.searchsorted(np.cumsum(lam), rng.generator(seed, 0x4949).random(n), side="right").astype(np.int64)
+
+
 class TestSpec:
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
@@ -367,3 +416,20 @@ class TestSpec:
             GibbsSpec((0, 1), np.ones((2, 2)), np.array([0.7, 0.7]))
         with pytest.raises(ValueError):
             GibbsSpec((0, 1), np.zeros((2, 2)), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("psi, lam", [
+        ([[1.0, 1.0], [1.0, 1.0]], [np.nan, 0.5]),
+        ([[1.0, np.inf], [np.inf, 1.0]], [0.5, 0.5]),
+        ([[1.0, np.nan], [np.nan, 1.0]], [0.5, 0.5]),
+    ])
+    def test_non_finite_rejected(self, psi, lam):
+        # a NaN lam and an infinite psi were accepted, and exact_gibbs returned NaN
+        with pytest.raises(ValueError, match="finite"):
+            GibbsSpec((0, 1), np.array(psi), np.array(lam))
+
+    def test_psi_is_stored_symmetric(self):
+        psi = np.array([[1.3, 0.7 * (1 + 1e-6)], [0.7, 1.1]])
+        stored = GibbsSpec((0, 1), psi, np.array([0.4, 0.6])).psi
+        assert np.array_equal(stored, stored.T) and stored[1, 0] == (psi[0, 1] + psi[1, 0]) / 2
+        # averaging is exact for a symmetric table
+        assert np.array_equal(GibbsSpec((0, 1), psi + psi.T, np.array([0.4, 0.6])).psi, psi + psi.T)

@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from sparsedyn import dynamics, empirical, graphs, localtopo, rng, trees
+from sparsedyn import dynamics, empirical, gibbs, graphs, localtopo, rng, trees
 
 RHO = trees.poisson_dist(2.0)
 
@@ -288,6 +288,48 @@ def _path_laws():
                    np.frombuffer(b"".join(keys), dtype=np.uint8), np.array([freqs[k] for k in keys]))
 
 
+def _potts_spec():
+    # psi + psi.T is exactly symmetric, so every reader of psi sees one table
+    gen = np.random.default_rng(64)
+    psi = gen.random((3, 3))
+    lam = gen.random(3)
+    return gibbs.GibbsSpec((0, 1, 2), psi + psi.T, lam / lam.sum())
+
+
+def _iid_sample():
+    g = graphs.gen_erdos_renyi(400, 0.01, 65)
+    laws = ([0.25, 0.0, 0.75, 0.0], [0.1] * 10, _potts_spec().lam)  # 0.1 * 10 sums to 1 - 2**-53
+    return _digest(*(gibbs.iid_sample(g, lam, 66) for lam in laws))
+
+
+def _glauber():
+    g = graphs.gen_erdos_renyi(12, 0.3, 67)
+    box = graphs.gen_lattice_box(2, 2).graph
+    return _digest(gibbs.glauber_trace(g, _potts_spec(), 30, 4, 68, record_every=3),
+                   gibbs.glauber_trace(box, gibbs.GibbsSpec.ising(0.45, field_plus=0.6), 20, 2, 69),
+                   gibbs.glauber_marginals(g, _potts_spec(), 40, 5, 70),
+                   gibbs.glauber_sample(box, gibbs.GibbsSpec.ising(0.2), 15, 3, 71))
+
+
+def _exact_gibbs():
+    parts = []
+    for g, spec in ((graphs.gen_erdos_renyi(8, 0.4, 72), _potts_spec()),
+                    (graphs.gen_lattice_box(2, 1).graph, gibbs.GibbsSpec.ising(0.35, field_plus=0.65))):
+        dist = gibbs.exact_gibbs(g, spec)
+        parts += [dist.probabilities, np.array([dist.log_z])]
+    return _digest(*parts)
+
+
+def _conditional_kernel():
+    g = graphs.gen_erdos_renyi(10, 0.35, 73)
+    parts = []
+    for region in ([6, 1, 4], [0, 9, 2, 5, 3]):
+        boundary = {u: u % 3 for u in gibbs.boundary_of(g, region)}
+        ker = gibbs.conditional_kernel(g, _potts_spec(), region, boundary)
+        parts += [ker.probabilities, np.array([ker.log_z])]
+    return _digest(*parts)
+
+
 CASES = {
     "erdos_renyi": lambda: _edges(graphs.gen_erdos_renyi(300, 0.02, 1)),
     "erdos_renyi_complete": lambda: _edges(graphs.gen_erdos_renyi(9, 1.0, 1)),
@@ -342,6 +384,10 @@ CASES = {
     "limit_histogram_mixed": _limit_histogram_mixed,
     "stream_keys": _stream_keys,
     "path_laws": _path_laws,
+    "gibbs_iid_sample": _iid_sample,
+    "gibbs_glauber": _glauber,
+    "gibbs_exact": _exact_gibbs,
+    "gibbs_conditional_kernel": _conditional_kernel,
 }
 
 GOLDEN = {
@@ -363,6 +409,10 @@ GOLDEN = {
     "fixed_graph_sampler": "cf0592e54124d36e85f760c4f1bd695222eb543320a31963eb139d4dad3a7445",
     "gnm_dense": "e2795a6cf2c11730e92b4bd97a622069bc722ff669cacf4c6f3dd091c109a814",
     "gnm_sparse": "83a2a3c4bcd94c7a4450ae0da2e6db104f8fe7a1cfad10ea4255f8911b8ba373",
+    "gibbs_conditional_kernel": "a79b2a8a9c9dc388a93747f41afe426b58ca5a5e38a65fed85161a7a9f0eb41c",
+    "gibbs_exact": "bb37d33ccd5b12a91de99db3684c6403b81eb25bea8cbff43a51adf15ca7002d",
+    "gibbs_glauber": "19ed75211401c7b174523b52cf258427497566e495729d8ed435cc58a3b0da8a",
+    "gibbs_iid_sample": "5c70ec76a04b213f38d624d6565589720dc8cbc8dd6a955d5242ae000db1cfe6",
     "histogram_lattice": "7610f07cd9ff046f967da9130d9839cbf20d80d314a23c08c5833aedc7aa61aa",
     "histogram_regular_r1": "11b33be134798df140f3d88716e9f62d3c73eabd6ef37faee7c4c575cc188f3d",
     "histogram_regular_r2": "364ca408dea4e1a8ae935c2028ecaa0b9b2f4186518100816f53a30f38022b59",

@@ -716,6 +716,13 @@ class TestLwDeficiency:
         with pytest.raises(ValueError, match="nonempty"):
             localtopo.bounded_lipschitz_gap(xs, ys)
 
+    @pytest.mark.parametrize("xs, ys", [([np.inf, 0.0], [0.0, 0.0]), ([np.nan, 0.0], [0.0, 0.0]),
+                                        ([0.0, 0.0], [0.0, -np.inf])])
+    def test_bounded_lipschitz_gap_of_a_non_finite_sample_raises(self, xs, ys):
+        # an inf returned 0.5 behind two RuntimeWarnings; a NaN returned nan
+        with pytest.raises(ValueError, match="finite"):
+            localtopo.bounded_lipschitz_gap(xs, ys)
+
     def test_bounded_lipschitz_gap(self):
         gen = np.random.default_rng(0)
         xs = gen.normal(0, 1, 4000)

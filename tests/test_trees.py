@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -90,6 +90,37 @@ class TestDegreeDist:
         for theta_value in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 poisson_dist(theta_value)
+
+    def test_negative_entries_rejected(self):
+        # an entry down to -tail_tolerance was accepted: the cdf was not
+        # monotone and u = 0.49999999999995 drew index 2
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            DegreeDist(np.array([0.5, -1e-13, 0.5 + 1e-13]))
+
+    def test_draws_stay_in_the_support(self):
+        # the cdf of a law summing to 1 - 1e-10 used to stop below 1, so a
+        # uniform above it drew index 3 of a three-entry law
+        class Stub:
+            def random(self, size):
+                return np.full(size, 1.0 - 1e-11)
+
+        rho = DegreeDist(np.array([0.5, 0.5 - 1e-10, 0.0]), tail_tolerance=1e-9)
+        assert trees._draw_counts(rho, Stub(), 4).tolist() == [1, 1, 1, 1]
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1e-9), st.floats(1e-3, 1.0)),
+                    min_size=1, max_size=8).filter(any),
+           st.floats(1.0 - 5e-10, 1.0 + 5e-10), st.integers(0, 3))
+    @example([0.5, 0.5, 1e-12], 1.0 + 5e-10, 0)  # the running sum passes 1 before the last entry
+    def test_cdf_is_the_clamped_running_sum(self, weights, scale, trailing):
+        p = np.array(weights) / math.fsum(weights) * scale
+        p = np.concatenate([p, np.zeros(trailing)])
+        cdf = DegreeDist(p).cdf
+        last = int(np.flatnonzero(p)[-1])
+        assert np.all(np.diff(cdf) >= 0)
+        # below 1 the running sum is kept as it is, so draws there are unchanged
+        assert np.array_equal(cdf[:last], np.minimum(np.cumsum(p)[:last], 1.0))
+        assert np.all(cdf[last:] == 1.0)
 
     def test_mapping_constructor(self):
         rho = degree_dist({0: 0.5, 2: 0.5})
